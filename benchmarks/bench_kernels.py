@@ -46,8 +46,11 @@ from repro.kernels import (
     row_median,
     set_backend,
 )
+from repro.multi.association import FixGate, candidate_fixes_batched
 from repro.multi.cancellation import successive_contours
+from repro.multi.tracker import MultiWiTrack
 from repro.multi.tracks import Track, TrackBank, TrackManager
+from repro.sim.room import through_wall_room
 
 # Serving shapes at N=8 sessions, 3 antennas, 171 range bins: the
 # synthesis call covers one 64-frame cohort chunk (320 sweeps per
@@ -125,6 +128,21 @@ def _workloads() -> list[dict]:
         bank_powers[s, :, 2] = 0.5
         bank_managers.append(manager)
 
+    # One cohort birth solve: every session's unclaimed leftovers, an
+    # untracked person among junk echoes and missed detections, with
+    # the live tracks as ghost-veto seeds.
+    room = through_wall_room()
+    birth_gate = FixGate.from_room(room)
+    birth_images = MultiWiTrack(max_people=2, room=room).ghost_images
+    leftovers = rng.uniform(2.0, 20.0, (N_SESSIONS, N_RX, 6))
+    leftover_powers = 10.0 ** rng.uniform(-7.0, -3.0, leftovers.shape)
+    for s in range(N_SESSIONS):
+        newcomer = np.array([0.3 * s - 1.0, 4.0 + 0.2 * s, -0.2])
+        leftovers[s, :, 0] = solver.array.round_trip_distances(newcomer)
+        leftover_powers[s, :, 0] = 1e-2
+    leftovers[rng.uniform(size=leftovers.shape) < 0.3] = np.nan
+    leftover_powers[np.isnan(leftovers)] = np.nan
+
     chunk_session_frames = N_SESSIONS * CHUNK_FRAMES
     tick_session_frames = N_SESSIONS
     return [
@@ -186,6 +204,21 @@ def _workloads() -> list[dict]:
             "inner": 20,
             "run": lambda: bank.step(
                 bank_managers, bank_candidates, bank_powers
+            ),
+        },
+        {
+            "kernel": "birth_solve",
+            "shape": f"leftovers {leftovers.shape}",
+            "frames": tick_session_frames,
+            "inner": 20,
+            "run": lambda: candidate_fixes_batched(
+                leftovers,
+                solver,
+                gate=birth_gate,
+                power_slots=leftover_powers,
+                max_fixes=1,
+                ghost_images=birth_images,
+                seed_slots=[people] * N_SESSIONS,
             ),
         },
     ]

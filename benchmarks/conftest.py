@@ -5,8 +5,8 @@ Heavy figure generation happens once per session in fixtures; the
 and the test body asserts the paper's qualitative shape and prints the
 same rows/series the paper reports.
 
-Scale: set ``REPRO_SCALE=paper`` for the full 100 x 1-minute protocol
-(see DESIGN.md Section 4); the default CI scale finishes in minutes.
+Scale: set ``REPRO_SCALE=paper`` for the full 100 x 1-minute protocol;
+the default CI scale finishes in minutes.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ Kalman predictions) resolves whatever ambiguity is left.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -116,6 +117,24 @@ def multipath_round_trips(
     return d_tx + d_img
 
 
+def stack_candidate_sets(
+    sets: Sequence[np.ndarray], width: int | None = None
+) -> np.ndarray:
+    """Per-antenna candidate sets as one NaN-padded ``(n_rx, K)`` array.
+
+    Sets may differ in length; the short ones are padded with NaN, which
+    every consumer treats as "no candidate". ``width`` fixes ``K``
+    (longer sets are cut), so a power table lines up with its TOFs.
+    """
+    rows = [np.asarray(s, dtype=np.float64).ravel() for s in sets]
+    if width is None:
+        width = max((len(r) for r in rows), default=0)
+    out = np.full((len(rows), width), np.nan)
+    for a, row in enumerate(rows):
+        out[a, : min(len(row), width)] = row[:width]
+    return out
+
+
 def candidate_fixes(
     tof_sets: Sequence[np.ndarray],
     solver: Solver,
@@ -137,6 +156,8 @@ def candidate_fixes(
     candidates and blocks those ghosts; the next pick is then the next
     person's pure combo, and so on — successive interference
     cancellation at the association level.
+
+    This is the one-slot call of :func:`candidate_fixes_batched`.
 
     Args:
         tof_sets: per-antenna candidate round-trip distances for one
@@ -166,86 +187,62 @@ def candidate_fixes(
     Returns:
         Candidate positions, shape ``(n_fixes, 3)`` (possibly empty).
     """
-    gate = gate or FixGate()
-    tofs = [np.asarray(s, dtype=np.float64) for s in tof_sets]
-    finite = [np.flatnonzero(~np.isnan(s)) for s in tofs]
-    if any(len(idx) == 0 for idx in finite):
-        return np.empty((0, 3))
-    index_combos = _product_indices(finite)
-    n_rx = len(tofs)
-    combos = np.column_stack(
-        [tofs[a][index_combos[:, a]] for a in range(n_rx)]
-    )
-    result = solver.solve(combos)
-    positions = result.positions
-    keep = result.valid & np.isfinite(positions).all(axis=1)
-    keep &= gate.admits(np.nan_to_num(positions, nan=1e9))
-    if not np.any(keep):
-        return np.empty((0, 3))
-    positions = positions[keep]
-    combos = combos[keep]
-    index_combos = index_combos[keep]
-
-    # Round-trip consistency: re-project each fix through the array.
-    array = solver.array
-    d_tx = np.linalg.norm(positions - array.tx.position[None, :], axis=1)
-    d_rx = np.linalg.norm(
-        positions[:, None, :] - array.rx_positions[None, :, :], axis=2
-    )
-    residuals = np.sqrt(
-        np.mean((d_tx[:, None] + d_rx - combos) ** 2, axis=1)
-    )
-    keep = residuals <= gate.max_residual_m
-    if not np.any(keep):
-        return np.empty((0, 3))
-    positions = positions[keep]
-    residuals = residuals[keep]
-    index_combos = index_combos[keep]
-    combos = combos[keep]
-
+    tofs = stack_candidate_sets(tof_sets)
+    powers = None
     if power_sets is not None:
-        powers = [
-            np.asarray(p, dtype=np.float64) for p in power_sets
-        ]
-        floor = 1e-30
-        score = sum(
-            10.0 * np.log10(
-                np.maximum(powers[a][index_combos[:, a]], floor)
-            )
-            for a in range(n_rx)
-        )
-    else:
-        score = -residuals
-    return _greedy_select(
-        positions,
-        combos,
-        index_combos,
-        score,
-        array,
+        powers = stack_candidate_sets(power_sets, tofs.shape[1])[None]
+    return candidate_fixes_batched(
+        tofs[None],
+        solver,
+        gate=gate,
+        power_slots=powers,
         dedupe_m=dedupe_m,
         max_fixes=max_fixes,
         ghost_images=ghost_images,
         ghost_tolerance_m=ghost_tolerance_m,
-        seed_positions=seed_positions,
-    )
+        seed_slots=[seed_positions],
+    )[0]
 
 
-def _product_indices(finite: list[np.ndarray]) -> np.ndarray:
-    """Cartesian product of index arrays, last axis fastest.
+@functools.cache
+def _combo_table(k: int, n_rx: int) -> np.ndarray:
+    """Every per-antenna index combination, lexicographic (last fastest).
 
-    Same row order as ``itertools.product`` (and ``np.meshgrid`` with
-    ``indexing="ij"``) but built from repeat/tile, which is several
-    times cheaper at the tens-of-rows sizes the association hot path
-    sees every serving tick.
+    The order of ``itertools.product(range(K), repeat=n_rx)``, cached
+    (read-only) per shape: a serving cohort asks for the same table
+    every tick.
     """
-    sizes = [len(f) for f in finite]
-    total = int(np.prod(sizes))
-    out = np.empty((total, len(finite)), dtype=np.intp)
-    rep = total
-    for a, f in enumerate(finite):
-        rep //= sizes[a]
-        out[:, a] = np.tile(np.repeat(f, rep), total // (rep * sizes[a]))
-    return out
+    table = np.indices((k,) * n_rx).reshape(n_rx, -1).T
+    table.flags.writeable = False
+    return table
+
+
+def _seed_arcs(seeds, array, ghost_images: np.ndarray) -> list[np.ndarray]:
+    """Multipath arcs of each seed position (one call per seed)."""
+    if seeds is None:
+        return []
+    return [
+        multipath_round_trips(
+            np.asarray(seed, dtype=np.float64), array.tx.position, ghost_images
+        )
+        for seed in seeds
+    ]
+
+
+def _arc_matches(
+    combos: np.ndarray, arcs: list[np.ndarray], ghost_tolerance_m: float
+) -> np.ndarray:
+    """Per combo, the antennas whose TOF lies on one of the arcs.
+
+    ``arcs`` are :func:`multipath_round_trips` outputs, each
+    ``(n_planes, n_rx)``; the nearest arc is a minimum, exact in any
+    order.
+    """
+    nearest = np.min(
+        np.abs(combos[:, None, None, :] - np.asarray(arcs)[None]),
+        axis=(1, 2),
+    )
+    return np.count_nonzero(nearest <= ghost_tolerance_m, axis=1)
 
 
 def _greedy_select(
@@ -260,13 +257,13 @@ def _greedy_select(
     ghost_tolerance_m: float,
     seed_positions: Sequence[np.ndarray] | None,
 ) -> np.ndarray:
-    """Power-greedy exclusive selection over pre-solved, pre-gated combos.
+    """Power-greedy exclusive selection over one slot's gated combos.
 
-    The tail of :func:`candidate_fixes`, split out so the batched
-    multi-slot path (:func:`candidate_fixes_batched`) can run it per
-    slot on slices of one concatenated solve.
+    The general tail of :func:`candidate_fixes_batched`, run per slot
+    when more than one fix may be kept (or a score is NaN); the
+    single-birth case is this loop's first round, done for every slot
+    at once.
     """
-    n_rx = combos.shape[1]
     # Iterative greedy selection. Each round re-scores the surviving
     # combos against the multipath predictions of everything accepted so
     # far: one matching component costs ``_GHOST_PENALTY_DB`` (a pure
@@ -276,32 +273,15 @@ def _greedy_select(
     # components so no later fix can reuse them.
     kept: list[np.ndarray] = []
     alive = np.ones(len(score), dtype=bool)
-    ghost_tofs: list[list[float]] = [[] for _ in range(n_rx)]
     suppress = ghost_images is not None and len(ghost_images) > 0
+    arcs = _seed_arcs(seed_positions, array, ghost_images) if suppress else []
     limit = max_fixes if max_fixes is not None else int(alive.sum())
-    tx_position = array.tx.position
-    if suppress and seed_positions is not None:
-        for seed in seed_positions:
-            predicted = multipath_round_trips(
-                np.asarray(seed, dtype=np.float64), tx_position, ghost_images
-            )
-            for a in range(n_rx):
-                ghost_tofs[a].extend(predicted[:, a].tolist())
     while len(kept) < limit and np.any(alive):
         penalties = np.zeros(len(score))
         if suppress:
-            # One vectorized arc-distance pass over every combo per
-            # antenna (the dead ones are masked out below) instead of a
-            # Python loop re-building the ghost array per combo.
             matches = np.zeros(len(score), dtype=np.int64)
-            for a in range(n_rx):
-                if ghost_tofs[a]:
-                    arcs = np.asarray(ghost_tofs[a])
-                    nearest = np.min(
-                        np.abs(combos[:, a][:, None] - arcs[None, :]),
-                        axis=1,
-                    )
-                    matches += nearest <= ghost_tolerance_m
+            if arcs:
+                matches = _arc_matches(combos, arcs, ghost_tolerance_m)
             alive &= matches < 2
             penalties = _GHOST_PENALTY_DB * matches.astype(np.float64)
         if not np.any(alive):
@@ -317,140 +297,151 @@ def _greedy_select(
         overlap = (index_combos == components[None, :]).any(axis=1)
         alive &= ~overlap
         if suppress:
-            predicted = multipath_round_trips(p, tx_position, ghost_images)
-            for a in range(n_rx):
-                ghost_tofs[a].extend(predicted[:, a].tolist())
+            arcs.append(
+                multipath_round_trips(p, array.tx.position, ghost_images)
+            )
     if not kept:
         return np.empty((0, 3))
     return np.stack(kept)
 
 
 def candidate_fixes_batched(
-    tof_slots: Sequence[Sequence[np.ndarray]],
+    tof_slots: np.ndarray,
     solver: Solver,
     gate: FixGate | None = None,
-    power_slots: Sequence[Sequence[np.ndarray]] | None = None,
+    power_slots: np.ndarray | None = None,
     dedupe_m: float = 0.4,
     max_fixes: int | None = None,
     ghost_images: np.ndarray | None = None,
     ghost_tolerance_m: float = 0.6,
     seed_slots: Sequence[Sequence[np.ndarray] | None] | None = None,
 ) -> list[np.ndarray]:
-    """:func:`candidate_fixes` for many slots with one solver pass.
+    """:func:`candidate_fixes` for many slots in one array solve.
 
-    The per-slot call spends most of its time in fixed numpy call
-    overhead — combo construction, the localization solve, the volume
-    gate, the residual re-projection — on arrays of a few dozen rows.
-    This variant concatenates every slot's combos, runs that prefix once
-    over the stack, then hands each slot its own row slice to the
-    per-slot greedy selection. Because every prefix operation is
-    elementwise per row (the volume gate, the residual, the power
-    score) or row-independent by the solver's contract
-    (``solver.row_independent``), each slot's rows are bitwise the rows
-    its own :func:`candidate_fixes` call would have produced — which is
-    what lets the fused serving tick's track bank birth tracks for a
-    whole cohort without perturbing staged/fused parity.
+    Row order: every slot's combos are one gather from a cached
+    ``K**n_rx`` index table (:func:`_combo_table`). ``np.nonzero`` of
+    the all-antennas-present mask walks the slots in order and, within
+    a slot, the table in lexicographic order, which is the order of a
+    cartesian product over that slot's present candidates. So the one
+    localization ``solve`` sees each slot's rows as a one-slot call
+    would, and a one-slot call is one ``solve`` over exactly those rows
+    — which a solver whose rows are not independent (the warm-started
+    least squares) needs. Every later step (the volume gate, then the
+    residual and power score on the rows that pass it) is elementwise
+    per row, so each slot's surviving rows are bitwise what it would
+    get alone.
+
+    Selection is per slot. With ``max_fixes=1`` (the serving default)
+    it is the greedy's first round for every slot at once: seed-arc
+    penalties, then a per-slot segment argmax that, like ``np.argmax``,
+    takes the first of equal maxima. Larger caps (and NaN scores) run
+    :func:`_greedy_select` per slot.
 
     Args:
-        tof_slots: per slot, the per-antenna candidate TOF sets.
-        solver: row-independent localization solver shared by all slots.
-        gate: feasibility gate shared by all slots.
-        power_slots: per slot, per-antenna candidate powers (or None).
+        tof_slots: leftover candidate round trips, shape
+            ``(n_slots, n_rx, K)``, NaN where there is none.
+        solver: localization solver shared by all slots.
+        power_slots: candidate powers aligned with ``tof_slots`` (or
+            None).
         seed_slots: per slot, the ghost-veto seed positions (or None).
+        gate, dedupe_m, max_fixes, ghost_images, ghost_tolerance_m: as
+            in :func:`candidate_fixes`, shared by all slots.
 
     Returns:
         One ``(n_fixes, 3)`` array per slot, empty where nothing
         survived.
     """
     gate = gate or FixGate()
-    n_slots = len(tof_slots)
-    empty = np.empty((0, 3))
-    out: list[np.ndarray] = [empty] * n_slots
+    tofs = np.asarray(tof_slots, dtype=np.float64)
+    n_slots, n_rx, k = tofs.shape
+    out: list[np.ndarray] = [np.empty((0, 3))] * n_slots
+    table = _combo_table(k, n_rx)
+    present = ~np.isnan(tofs)
+    full = present[:, 0, table[:, 0]]
+    for a in range(1, n_rx):
+        full &= present[:, a, table[:, a]]
+    row_slot, row_combo = np.nonzero(full)
+    antennas = np.arange(n_rx)
+    combos = tofs[row_slot[:, None], antennas, table[row_combo]]
 
-    # Per-slot combo tables, concatenated into one solver batch.
-    slot_rows: list[tuple[int, int, int]] = []  # (slot, row0, row1)
-    combo_parts: list[np.ndarray] = []
-    index_parts: list[np.ndarray] = []
-    power_parts: list[np.ndarray] | None = (
-        [] if power_slots is not None else None
-    )
-    row0 = 0
-    for s in range(n_slots):
-        tofs = [np.asarray(t, dtype=np.float64) for t in tof_slots[s]]
-        finite = [np.flatnonzero(~np.isnan(t)) for t in tofs]
-        if any(len(idx) == 0 for idx in finite):
-            continue
-        index_combos = _product_indices(finite)
-        n_rx = len(tofs)
-        combos = np.column_stack(
-            [tofs[a][index_combos[:, a]] for a in range(n_rx)]
-        )
-        if power_parts is not None:
-            powers = [
-                np.asarray(p, dtype=np.float64) for p in power_slots[s]
-            ]
-            power_parts.append(
-                np.column_stack(
-                    [powers[a][index_combos[:, a]] for a in range(n_rx)]
-                )
-            )
-        combo_parts.append(combos)
-        index_parts.append(index_combos)
-        slot_rows.append((s, row0, row0 + len(combos)))
-        row0 += len(combos)
-    if not combo_parts:
+    if len(combos) == 0:
         return out
-
-    combos = np.concatenate(combo_parts)
-    index_combos = np.concatenate(index_parts)
-    n_rx = combos.shape[1]
     result = solver.solve(combos)
     positions = result.positions
-    keep = result.valid & np.isfinite(positions).all(axis=1)
-    keep &= gate.admits(np.nan_to_num(positions, nan=1e9))
+    # Non-finite rows fail every gate comparison as well.
+    rows = np.flatnonzero(result.valid & gate.admits(positions))
 
-    # Round-trip consistency over the whole stack; NaN-safe because
-    # rows already failing the volume gate are masked out below.
+    # Round-trip consistency: re-project each in-volume fix.
     array = solver.array
-    with np.errstate(invalid="ignore"):
-        d_tx = np.linalg.norm(positions - array.tx.position[None, :], axis=1)
-        d_rx = np.linalg.norm(
-            positions[:, None, :] - array.rx_positions[None, :, :], axis=2
-        )
-        residuals = np.sqrt(
-            np.mean((d_tx[:, None] + d_rx - combos) ** 2, axis=1)
-        )
-        keep &= residuals <= gate.max_residual_m
+    positions, combos = positions[rows], combos[rows]
+    d_tx = np.linalg.norm(positions - array.tx.position[None, :], axis=1)
+    d_rx = np.linalg.norm(
+        positions[:, None, :] - array.rx_positions[None, :, :], axis=2
+    )
+    residuals = np.sqrt(
+        np.mean((d_tx[:, None] + d_rx - combos) ** 2, axis=1)
+    )
+    keep = residuals <= gate.max_residual_m
+    rows = rows[keep]
+    if len(rows) == 0:
+        return out
+    positions, combos = positions[keep], combos[keep]
+    residuals = residuals[keep]
+    row_slot, index_combos = row_slot[rows], table[row_combo[rows]]
 
-    if power_parts is not None:
-        power_rows = np.concatenate(power_parts)
+    if power_slots is not None:
+        powers = np.asarray(power_slots, dtype=np.float64)[
+            row_slot[:, None], antennas, index_combos
+        ]
         floor = 1e-30
         score = sum(
-            10.0 * np.log10(np.maximum(power_rows[:, a], floor))
+            10.0 * np.log10(np.maximum(powers[:, a], floor))
             for a in range(n_rx)
         )
     else:
         score = -residuals
 
-    for s, r0, r1 in slot_rows:
-        rows = keep[r0:r1]
-        if not np.any(rows):
-            continue
-        sel = np.flatnonzero(rows) + r0
-        out[s] = _greedy_select(
-            positions[sel],
-            combos[sel],
-            index_combos[sel],
-            score[sel],
-            array,
-            dedupe_m=dedupe_m,
-            max_fixes=max_fixes,
-            ghost_images=ghost_images,
-            ghost_tolerance_m=ghost_tolerance_m,
-            seed_positions=(
-                seed_slots[s] if seed_slots is not None else None
-            ),
-        )
+    # Slot segments of the (slot-major) surviving rows.
+    starts = np.flatnonzero(np.diff(row_slot, prepend=-1))
+    ends = np.append(starts[1:], len(rows))
+    segments = list(zip(row_slot[starts], starts, ends))
+    seeds = seed_slots if seed_slots is not None else [None] * n_slots
+    if max_fixes != 1 or np.isnan(score).any():
+        for s, r0, r1 in segments:
+            out[s] = _greedy_select(
+                positions[r0:r1],
+                combos[r0:r1],
+                index_combos[r0:r1],
+                score[r0:r1],
+                array,
+                dedupe_m=dedupe_m,
+                max_fixes=max_fixes,
+                ghost_images=ghost_images,
+                ghost_tolerance_m=ghost_tolerance_m,
+                seed_positions=seeds[s],
+            )
+        return out
+
+    matches = np.zeros(len(rows), dtype=np.int64)
+    if ghost_images is not None and len(ghost_images) > 0:
+        for s, r0, r1 in segments:
+            arcs = _seed_arcs(seeds[s], array, ghost_images)
+            if arcs:
+                matches[r0:r1] = _arc_matches(
+                    combos[r0:r1], arcs, ghost_tolerance_m
+                )
+    adjusted = np.where(
+        matches < 2, score - _GHOST_PENALTY_DB * matches, -np.inf
+    )
+    best = np.maximum.reduceat(adjusted, starts)
+    first = np.minimum.reduceat(
+        np.where(adjusted == np.repeat(best, ends - starts),
+                 np.arange(len(rows)), len(rows)),
+        starts,
+    )
+    for (s, _, _), b, idx in zip(segments, best, first):
+        if b > -np.inf:
+            out[s] = positions[idx : idx + 1]
     return out
 
 
@@ -495,3 +486,103 @@ def assign_fixes(
     unmatched_tracks = [t for t in range(n_tracks) if t not in matched_tracks]
     unmatched_fixes = [f for f in range(n_fixes) if f not in matched_fixes]
     return pairs, unmatched_tracks, unmatched_fixes
+
+
+#: Cost of a blocked or padded claim cell (as in :func:`assign_fixes`).
+_BLOCKED_COST = 1e6
+
+#: How much a row's best claim cost must beat every alternative in its
+#: row (and the blocked cost) before :func:`claim_candidates` takes it
+#: without a Hungarian solve. Orders of magnitude above the rounding
+#: of an exact solver on these few-by-few matrices of values at most
+#: ``_BLOCKED_COST`` (~1e-9), far below any real TOF spacing.
+_CLAIM_MARGIN_M = 1e-6
+
+
+def claim_candidates(
+    predictions: np.ndarray,
+    gates: np.ndarray,
+    candidates: np.ndarray,
+    counts: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-antenna gated claims of many slots' tracks, in one array pass.
+
+    Each ``(slot, antenna)`` cell is the 1D assignment
+    :func:`assign_fixes` makes between the slot's track predictions on
+    that antenna and its finite candidates (``|diff|`` equals its 1-point
+    L2 norm bitwise). Most cells need no Hungarian solve: when every
+    track of the cell is either blocked on all candidates or has one
+    candidate strictly cheaper than its others by more than
+    ``_CLAIM_MARGIN_M`` (and than the blocked cost), and those argmins
+    are distinct, the row minima reach the sum-of-row-minima lower
+    bound of every assignment, and any other assignment costs more by
+    over the margin. That unique optimum is what any exact solver
+    returns — with more tracks than candidates too, since leaving a
+    live track unassigned costs a blocked pad instead of its minimum —
+    so it is taken directly. Every other cell runs
+    ``linear_sum_assignment`` on exactly the matrix ``assign_fixes``
+    builds.
+
+    Args:
+        predictions: predicted round trips of every slot's tracks,
+            slot-major, shape ``(n_tracks, n_rx)``.
+        gates: per-track claim gates, shape ``(n_tracks,)``.
+        candidates: candidate round trips, shape ``(n_slots, n_rx, K)``,
+            non-finite where there is none.
+        counts: tracks per slot (summing to ``n_tracks``).
+
+    Returns:
+        ``(claimed, claimed_mask)``: the claimed round trip per track
+        and antenna (NaN where none), shape ``(n_tracks, n_rx)``, and
+        which candidates were claimed, shape ``(n_slots, n_rx, K)``.
+    """
+    n_slots, n_rx, k = candidates.shape
+    claimed = np.full((len(predictions), n_rx), np.nan)
+    claimed_mask = np.zeros(candidates.shape, dtype=bool)
+    if len(predictions) == 0 or k == 0:
+        return claimed, claimed_mask
+    slot_of = np.repeat(np.arange(n_slots), counts)
+    finite = np.isfinite(candidates)
+    cost = np.abs(predictions[:, :, None] - candidates[slot_of])
+    cost = np.where(np.isfinite(cost), cost, _BLOCKED_COST)
+    blocked = cost > gates[:, None, None]
+    padded = np.where(blocked, _BLOCKED_COST, cost)
+
+    # Fast cells: rows with a clear, unblocked argmin over the finite
+    # candidates; rows blocked everywhere claim nothing.
+    usable = finite[slot_of]
+    ranked = np.where(usable, padded, np.inf)
+    best = ranked.argmin(axis=2)
+    low = ranked.min(axis=2)
+    second = (
+        np.partition(ranked, 1, axis=2)[:, :, 1] if k > 1 else np.inf
+    )
+    live = (usable & ~blocked).any(axis=2)
+    with np.errstate(invalid="ignore"):  # inf - inf where nothing is live
+        clear = (low < _BLOCKED_COST - _CLAIM_MARGIN_M) & (
+            second - low > _CLAIM_MARGIN_M
+        )
+    cell = slot_of[:, None] * n_rx + np.arange(n_rx)
+    taken = np.bincount(
+        (cell * k + best)[live], minlength=n_slots * n_rx * k
+    ).reshape(n_slots, n_rx, k)
+    slow = (taken > 1).any(axis=2).ravel()
+    slow[cell[live & ~clear]] = True
+    fast = live & ~slow[cell]
+    t_idx, a_idx = np.nonzero(fast)
+    c_idx = best[t_idx, a_idx]
+    claimed[t_idx, a_idx] = candidates[slot_of[t_idx], a_idx, c_idx]
+    claimed_mask[slot_of[t_idx], a_idx, c_idx] = True
+
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    for flat in np.flatnonzero(slow):
+        s, a = divmod(int(flat), n_rx)
+        t0 = offsets[s]
+        cols = np.flatnonzero(finite[s, a])
+        sub = slice(t0, offsets[s + 1])
+        rows, picks = linear_sum_assignment(padded[sub, a][:, cols])
+        for r, c in zip(rows, picks):
+            if not blocked[t0 + r, a, cols[c]]:
+                claimed[t0 + r, a] = candidates[s, a, cols[c]]
+                claimed_mask[s, a, cols[c]] = True
+    return claimed, claimed_mask

@@ -31,15 +31,14 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ..core.kalman import dwna_process_noise
 from .association import (
     FixGate,
     Solver,
-    assign_fixes,
-    candidate_fixes,
     candidate_fixes_batched,
+    claim_candidates,
+    stack_candidate_sets,
 )
 
 
@@ -197,9 +196,9 @@ def _filter_step(
     arithmetic is the unrolled 2x2 tree shared with the fused tick
     kernels (:mod:`repro.kernels`), so one track's scalar step and a
     whole cohort bank's batched step are the same IEEE operations —
-    which is what lets the fused multi-person tick advance every
-    session's tracks in array math while staying bit-identical to the
-    per-slot staged loop.
+    which is what lets :class:`TrackBank` advance every session's
+    tracks in array math while staying bit-identical to stepping each
+    track alone.
     """
     m0 = mean[..., 0]
     m1 = mean[..., 1]
@@ -360,9 +359,9 @@ class Track:
     ) -> None:
         """Fold one frame's claim count and solved fix into the lifecycle.
 
-        Shared tail of :meth:`advance` and the cohort
-        :class:`TrackBank` step (which computes ``solved``/``feasible``
-        batched across every session's tracks).
+        Shared tail of :meth:`advance` and the :class:`TrackBank` step
+        (which computes ``solved``/``feasible`` batched across every
+        slot's tracks).
         """
         if feasible:
             self.position = solved
@@ -551,81 +550,20 @@ class TrackManager:
 
         Args:
             tof_sets: candidate round trips per antenna (NaN-padded),
-                one entry per receive antenna.
+                one entry per receive antenna (or one ``(n_rx, K)``
+                array).
             power_sets: echo power of each candidate, aligned with
                 ``tof_sets``.
 
         Returns:
             The reportable tracks after this frame.
         """
-        tofs = [np.asarray(s, dtype=np.float64) for s in tof_sets]
-        n_rx = len(tofs)
-        live = self.live_tracks()
-
-        # Per-antenna claim: gated 1D Hungarian between every track's
-        # predicted round trip and the frame's candidates.
-        claimed = np.full((len(live), n_rx), np.nan)
-        claimed_idx: set[tuple[int, int]] = set()
-        if live:
-            predictions = np.stack([t.predicted_tofs() for t in live])
-            gates = np.array([t.tof_gate_m() for t in live])
-            for a in range(n_rx):
-                finite = np.flatnonzero(np.isfinite(tofs[a]))
-                if len(finite) == 0:
-                    continue
-                pairs, _, _ = assign_fixes(
-                    predictions[:, a : a + 1],
-                    tofs[a][finite, None],
-                    gates,
-                )
-                for t_idx, c_idx in pairs:
-                    claimed[t_idx, a] = tofs[a][finite[c_idx]]
-                    claimed_idx.add((a, int(finite[c_idx])))
-        for t_idx, track in enumerate(live):
-            track.advance(claimed[t_idx], self.solver, self.gate)
-
-        # Births from the candidates no track claimed, with the live
-        # tracks' multipath arcs pre-seeded as ghost evidence.
-        leftovers = []
-        leftover_powers = [] if power_sets is not None else None
-        for a in range(n_rx):
-            keep = np.array(
-                [
-                    np.isfinite(tofs[a][j]) and (a, j) not in claimed_idx
-                    for j in range(len(tofs[a]))
-                ],
-                dtype=bool,
-            )
-            leftovers.append(np.where(keep, tofs[a], np.nan))
-            if leftover_powers is not None:
-                leftover_powers.append(
-                    np.where(keep, np.asarray(power_sets[a]), np.nan)
-                )
-        self._births(leftovers, leftover_powers, live)
-        return self._finalize()
-
-    def _births(
-        self,
-        leftovers: list[np.ndarray],
-        leftover_powers: list[np.ndarray] | None,
-        live: list[Track],
-    ) -> None:
-        """Birth tracks from unclaimed candidates (shared with the bank).
-
-        ``live`` is the step-start live list, post-advance: it seeds the
-        ghost veto and the birth-exclusion neighborhood exactly as one
-        staged :meth:`step` does.
-        """
-        births = candidate_fixes(
-            leftovers,
-            self.solver,
-            gate=self.gate,
-            power_sets=leftover_powers,
-            max_fixes=self.max_births_per_frame,
-            ghost_images=self.ghost_images,
-            seed_positions=self._birth_seeds(live),
-        )
-        self._adopt_births(births, live)
+        tofs = stack_candidate_sets(tof_sets)
+        powers = None
+        if power_sets is not None:
+            powers = stack_candidate_sets(power_sets, tofs.shape[1])[None]
+        TrackBank().step([self], tofs[None], powers)
+        return self.reportable_tracks()
 
     def _birth_seeds(self, live: list[Track]) -> list[np.ndarray]:
         """Ghost-veto seed positions for this frame's birth attempt.
@@ -641,8 +579,8 @@ class TrackManager:
     ) -> None:
         """Turn surviving birth fixes into tracks (exclusion applied).
 
-        Split from :meth:`_births` so the cohort :class:`TrackBank` can
-        feed it fixes from one batched
+        Shared with the cohort :class:`TrackBank`, which feeds it each
+        slot's fixes from one
         :func:`~repro.multi.association.candidate_fixes_batched` pass.
         """
         born: list[np.ndarray] = []
@@ -710,41 +648,41 @@ class TrackManager:
 class TrackBank:
     """Structure-of-arrays stepper: one frame of many sessions at once.
 
-    The staged serving path advances a cohort tick slot by slot — one
-    :meth:`TrackManager.step` per session, each walking its
-    :class:`Track` objects one at a time. The bank advances the same
-    tick over a ``(slot, track)`` axis: it gathers every ticking slot's
-    live-track filter state into stacked arrays, runs prediction,
-    gating, the Kalman updates, and batched localization across all
-    slots in array math, and scatters the results back into the
-    managers' tracks. Claim assignment stays per ``(slot, antenna)``
-    (:func:`~repro.multi.association.assign_fixes` — the Hungarian
-    solve is not batchable without risking tie-break drift) and births
-    stay per slot (:meth:`TrackManager._births` is rare-path).
+    Every K-person step runs here — the fused cohort tick with all its
+    slots, a staged :meth:`TrackManager.step` with one. The bank
+    gathers the slots' live-track filter state into ``(track, antenna)``
+    arrays and advances them in array math:
+
+    * claims: one :func:`~repro.multi.association.claim_candidates`
+      pass over every ``(slot, antenna)`` cell;
+    * the Kalman update: one :func:`_filter_step` tree over every cell;
+    * localization: one batched ``solve`` over every track when the
+      solver is row-independent (``solver.row_independent``, the
+      closed-form T geometry), else one ``solve_one`` per track (the
+      warm-started least squares);
+    * births: one
+      :func:`~repro.multi.association.candidate_fixes_batched` solve
+      over every slot's unclaimed candidates;
+
+    then scatters the state back and runs each manager's lifecycle tail
+    (:meth:`Track._register`, :meth:`TrackManager._adopt_births`,
+    :meth:`TrackManager._finalize`).
 
     The managers remain the single source of truth: the bank holds no
     state of its own, so snapshot/restore, eviction, and the
-    ``engine.track_manager`` accessors are untouched, and after a bank
-    step every manager is bit-identical to having stepped it staged —
-    the Kalman tree (:func:`_filter_step`), the lifecycle tail
-    (:meth:`Track._register`), the assignment calls, and the birth path
-    are literally the same code, just batched where the math is
-    elementwise.
-
-    Requires a row-independent solver (``solver.row_independent``, e.g.
-    the closed-form T-geometry solver): the batched ``solver.solve``
-    over all slots' tracks must equal the per-track ``solve_one`` calls
-    bitwise. The tick compiler only fuses the associate stage when that
-    holds. All managers of a serving cohort share one spec, so the
-    frame interval, lifecycle config, fix gate, and solver are read
-    from the first manager.
+    ``engine.track_manager`` accessors are untouched. Every step above
+    is elementwise per slot (or per track), so a cohort step leaves
+    each manager bit-identical to stepping it alone — fused and staged
+    agree by construction. All managers of a serving cohort share one
+    spec, so the frame interval, lifecycle config, fix gate, and solver
+    are read from the first manager.
     """
 
     def step(
         self,
         managers: list[TrackManager],
         candidates: np.ndarray,
-        powers: np.ndarray,
+        powers: np.ndarray | None,
     ) -> list[list[tuple[int, np.ndarray]]]:
         """Advance one frame of every manager from its candidate sets.
 
@@ -753,70 +691,36 @@ class TrackBank:
                 (one entry per row; a manager may appear once only).
             candidates: candidate round trips, shape
                 ``(n_rows, n_rx, K)``, NaN-padded.
-            powers: echo power per candidate, same shape.
+            powers: echo power per candidate, same shape (or None:
+                births then rank by round-trip residual).
 
         Returns:
             Per row, the reportable ``(track_id, position)`` pairs —
             exactly the staged per-slot output.
         """
-        n_rows, n_rx, _ = candidates.shape
+        n_rx = candidates.shape[1]
         lead = managers[0]
         dt = lead.frame_dt_s
         cfg = lead.config
         live_per = [m.live_tracks() for m in managers]
         all_tracks = [t for live in live_per for t in live]
-        total = len(all_tracks)
         counts = [len(live) for live in live_per]
-        offsets = np.zeros(n_rows + 1, dtype=np.intp)
-        np.cumsum(counts, out=offsets[1:])
 
-        finite_cand = np.isfinite(candidates)
-        claimed_mask = np.zeros(candidates.shape, dtype=bool)
-        if total:
-            # Gather: (track, antenna) filter state across every slot.
-            mean = np.stack([t._mean for t in all_tracks])
-            cov = np.stack([t._cov for t in all_tracks])
-            misses = np.array(
-                [t.misses for t in all_tracks], dtype=np.float64
-            )
-            predictions = mean[:, :, 0] + dt * mean[:, :, 1]
-            gates = np.minimum(
-                cfg.tof_gate_m + cfg.tof_gate_growth_mps * misses * dt,
-                cfg.max_tof_gate_m,
-            )
-            # Claim: gated 1D Hungarian per (slot, antenna). The cost,
-            # gate-block, and padding tensors are one vectorized pass
-            # over every (track, antenna, candidate) cell; each
-            # Hungarian solve then runs on a slice of them — the exact
-            # matrix the staged step's assign_fixes builds per call
-            # (its L2 norm of a 1-point row is |diff|: sqrt(x*x) == |x|
-            # for doubles, and NaN cells land on the same 1e6 pad).
-            claimed = np.full((total, n_rx), np.nan)
-            slot_of = np.repeat(np.arange(n_rows), counts)
-            cost = np.abs(predictions[:, :, None] - candidates[slot_of])
-            cost = np.where(np.isfinite(cost), cost, 1e6)
-            blocked = cost > gates[:, None, None]
-            padded = np.where(blocked, 1e6, cost)
-            for s in range(n_rows):
-                t0, t1 = offsets[s], offsets[s + 1]
-                if t0 == t1:
-                    continue
-                for a in range(n_rx):
-                    finite = np.flatnonzero(finite_cand[s, a])
-                    if len(finite) == 0:
-                        continue
-                    sub_blocked = blocked[t0:t1, a][:, finite]
-                    rows, cols = linear_sum_assignment(
-                        padded[t0:t1, a][:, finite]
-                    )
-                    for r, c in zip(rows, cols):
-                        if not sub_blocked[r, c]:
-                            claimed[t0 + r, a] = candidates[
-                                s, a, finite[c]
-                            ]
-                            claimed_mask[s, a, finite[c]] = True
+        # Gather: (track, antenna) filter state across every slot.
+        mean = np.array([t._mean for t in all_tracks]).reshape(-1, n_rx, 2)
+        cov = np.array([t._cov for t in all_tracks]).reshape(-1, n_rx, 2, 2)
+        misses = np.array([t.misses for t in all_tracks], dtype=np.float64)
+        predictions = mean[:, :, 0] + dt * mean[:, :, 1]
+        gates = np.minimum(
+            cfg.tof_gate_m + cfg.tof_gate_growth_mps * misses * dt,
+            cfg.max_tof_gate_m,
+        )
+        claimed, claimed_mask = claim_candidates(
+            predictions, gates, candidates, counts
+        )
+        if all_tracks:
             # Advance: one Kalman tree over every (track, antenna) cell,
-            # one localization solve over every track.
+            # then localize every track.
             q00, q01, q11 = dwna_process_noise(dt, cfg.tof_process_noise)
             _filter_step(
                 claimed,
@@ -829,10 +733,14 @@ class TrackBank:
                 float(cfg.tof_measurement_noise),
                 cfg.coast_velocity_decay,
             )
-            solved = lead.solver.solve(mean[:, :, 0]).positions
+            if getattr(lead.solver, "row_independent", False):
+                solved = lead.solver.solve(mean[:, :, 0]).positions
+            else:
+                solved = np.array(
+                    [lead.solver.solve_one(k) for k in mean[:, :, 0]]
+                )
             feasible = np.all(np.isfinite(solved), axis=1)
-            # NaN rows compare False everywhere, so gating the whole
-            # batch equals the staged finite-then-gate short circuit.
+            # NaN rows compare False everywhere in the gate too.
             feasible &= lead.gate.admits(solved)
             claims = np.count_nonzero(np.isfinite(claimed), axis=1)
             for i, track in enumerate(all_tracks):
@@ -842,22 +750,19 @@ class TrackBank:
                     int(claims[i]), solved[i].copy(), bool(feasible[i])
                 )
 
-        # Leftovers: every finite candidate no track claimed, one
-        # vectorized mask instead of per-slot keep loops. Births run
-        # through one batched combo-solve across all slots (the gate,
-        # ghost images, and birth cap are cohort-wide spec state, read
-        # from the lead manager like the rest of the step).
-        keep = finite_cand & ~claimed_mask
-        leftovers = np.where(keep, candidates, np.nan)
-        leftover_powers = np.where(keep, powers, np.nan)
+        # Births: every finite candidate no track claimed, all slots in
+        # one solve (the gate, ghost images, and birth cap are
+        # cohort-wide spec state, read from the lead manager). The
+        # solve is looked up from the module at call time and gets the
+        # leftovers positionally, so a wrapper bound by name sees them.
+        keep = np.isfinite(candidates) & ~claimed_mask
         births_per = candidate_fixes_batched(
-            [[leftovers[s, a] for a in range(n_rx)] for s in range(n_rows)],
+            np.where(keep, candidates, np.nan),
             lead.solver,
             gate=lead.gate,
-            power_slots=[
-                [leftover_powers[s, a] for a in range(n_rx)]
-                for s in range(n_rows)
-            ],
+            power_slots=(
+                None if powers is None else np.where(keep, powers, np.nan)
+            ),
             max_fixes=lead.max_births_per_frame,
             ghost_images=lead.ghost_images,
             seed_slots=[

@@ -168,11 +168,11 @@ class Associate(Stage):
         """``"associate"`` when the cohort can advance as one track bank.
 
         The fused tick runs every slot's tracks through one
-        :class:`~repro.multi.tracks.TrackBank` step, whose batched
-        localization solve must equal the staged per-track
-        ``solve_one`` calls bitwise — true only for row-independent
-        solvers (the closed-form T geometry), so the warm-started
-        least-squares solver keeps the chain staged. The bank reads the
+        :class:`~repro.multi.tracks.TrackBank` step, which batches the
+        localization solve only for row-independent solvers (the
+        closed-form T geometry); the warm-started least-squares solver
+        must solve track by track, gains nothing from fusion, and keeps
+        the chain staged. The bank reads the
         shared cohort constants (frame interval, lifecycle config, fix
         gate, solver) from slot 0's manager; every slot manager comes
         from one factory with one spec, which is what makes that sound.
@@ -184,10 +184,7 @@ class Associate(Stage):
     def _step(
         self, manager: TrackManager, candidates: np.ndarray, powers: np.ndarray
     ):
-        tracks = manager.step(
-            [candidates[a] for a in range(candidates.shape[0])],
-            [powers[a] for a in range(powers.shape[0])],
-        )
+        tracks = manager.step(candidates, powers)
         return [(t.track_id, t.position.copy()) for t in tracks]
 
     def process_tick(self, tick):
