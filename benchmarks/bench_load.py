@@ -79,7 +79,6 @@ def run_scenario(
     seed: int,
     workers: int,
     capacity: int,
-    transport: str | None = None,
 ) -> dict:
     """One (scenario, workers) cell: harness run + SLO artifact."""
     config = default_config()
@@ -101,24 +100,13 @@ def run_scenario(
     }
     model = SpecMemoryModel(queue_capacity=QUEUE_CAPACITY)
     governor = MemoryGovernor(int(MEMORY_BUDGET_MB * 1e6), model=model)
-    arena_bytes = None
-    if workers:
-        # Predict-before-allocate: size each shard's shm arena off the
-        # dominant spec's calibrated footprint (see SpecMemoryModel).
-        arena_bytes = max(
-            model.arena_estimate(spec, int(MEMORY_BUDGET_MB * 1e6))
-            for spec in specs.values()
-        )
     start = time.perf_counter()
     with ServingEngine(
         queue_capacity=QUEUE_CAPACITY,
         workers=workers,
         admission=governor,
         memory_model=model,
-        transport=transport,
-        arena_bytes=arena_bytes,
     ) as engine:
-        transport_name = engine.transport
         harness = LoadHarness(
             engine, workload, specs, capacity_frames_per_step=capacity
         )
@@ -127,7 +115,6 @@ def run_scenario(
     return {
         "scenario": name,
         "workers": workers,
-        "transport": transport_name,
         "wall_s": wall_s,
         "slo": slo,
     }
@@ -147,10 +134,6 @@ def main() -> int:
                         help="also run each scenario distributed across "
                              "this many shard workers (default: "
                              "REPRO_WORKERS, else in-process only)")
-    parser.add_argument("--transport", choices=["pipe", "shm"],
-                        default=None,
-                        help="shard IPC data plane for the distributed "
-                             "rows (default: REPRO_TRANSPORT, else pipe)")
     parser.add_argument("--output", type=Path,
                         default=Path(__file__).parent / "load.json")
     args = parser.parse_args()
@@ -175,18 +158,17 @@ def main() -> int:
             rows.append(
                 run_scenario(
                     name, processes[name], args.horizon, args.seed, w,
-                    args.capacity, transport=args.transport,
+                    args.capacity,
                 )
             )
 
     print("\nload scenarios (virtual-clock SLO against the 75 ms budget)")
-    print(f"{'scenario':>10}{'wrk':>5}{'tpt':>6}{'sessions':>10}{'rej%':>7}"
+    print(f"{'scenario':>10}{'wrk':>5}{'sessions':>10}{'rej%':>7}"
           f"{'drop%':>7}{'p50':>8}{'p99':>9}{'goodput':>10}{'offered':>10}")
     for row in rows:
         slo = row["slo"]
         s, f, t = slo["sessions"], slo["frames"], slo["throughput"]
         print(f"{row['scenario']:>10}{row['workers']:>5}"
-              f"{row['transport']:>6}"
               f"{s['arrived']:>10}"
               f"{100 * s['rejection_rate']:>6.1f}%"
               f"{100 * f['drop_rate']:>6.1f}%"

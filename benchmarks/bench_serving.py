@@ -54,7 +54,6 @@ from repro.exec import (
     pool_available,
     resolve_workers,
     results_identical,
-    shm_available,
     synthesize,
 )
 from repro.kernels import backend_name, set_backend
@@ -102,17 +101,14 @@ def run_baseline(config, range_bin_m, blocks, n_frames) -> dict:
     return {"wall_s": wall_s, "p95_latency_ms": 1e3 * float(np.max(p95s))}
 
 
-def run_lockstep(
-    config, range_bin_m, blocks, n_frames, workers=0, transport=None
-) -> dict:
+def run_lockstep(config, range_bin_m, blocks, n_frames, workers=0) -> dict:
     """One engine, N admitted sessions, one vectorized tick per step.
 
     ``workers=0`` is the in-process engine; ``workers>=1`` fronts that
     many shard worker processes (the distributed tier) and additionally
-    reports per-shard tick times, IPC overhead, and per-transport byte
-    counters (``transport`` picks the shard data plane: pipe or shm).
+    reports per-shard tick times, IPC overhead, and IPC byte counters.
     """
-    with ServingEngine(workers=workers, transport=transport) as engine:
+    with ServingEngine(workers=workers) as engine:
         spec = single_session(config, range_bin_m)
         sessions = [engine.admit(spec) for _ in blocks]
         start = time.perf_counter()
@@ -137,7 +133,6 @@ def run_lockstep(
             shards = engine.scheduler.shard_report()
             out["shards"] = shards
             out["num_shards"] = engine.scheduler.num_shards
-            out["transport"] = engine.transport
             out["transport_stats"] = engine.transport_stats()
             with np.errstate(all="ignore"):
                 out["tick_p95_ms"] = float(
@@ -150,34 +145,6 @@ def run_lockstep(
                     np.nanmean([s["ipc_overhead_mean_ms"] for s in shards])
                 )
     return out
-
-
-def _transports() -> list[str]:
-    """Transports to benchmark: always pipe, plus shm when the host has it."""
-    return ["pipe", "shm"] if shm_available() else ["pipe"]
-
-
-def _transport_comparison(by_transport: dict) -> dict:
-    """Pipe-vs-shm IPC overhead delta for the trajectory JSON."""
-    pipe_ms = by_transport["pipe"]["ipc_overhead_mean_ms"]
-    shm_ms = by_transport["shm"]["ipc_overhead_mean_ms"]
-    return {
-        "ipc_overhead_pipe_ms": pipe_ms,
-        "ipc_overhead_shm_ms": shm_ms,
-        "ipc_overhead_pipe_over_shm": (
-            pipe_ms / shm_ms if shm_ms > 0 else float("nan")
-        ),
-        "bytes_shm": by_transport["shm"]["transport_stats"]["bytes_shm"],
-        "bytes_pickled_pipe": (
-            by_transport["pipe"]["transport_stats"]["bytes_pickled"]
-        ),
-        "bytes_pickled_shm": (
-            by_transport["shm"]["transport_stats"]["bytes_pickled"]
-        ),
-        "arena_overflows": (
-            by_transport["shm"]["transport_stats"]["arena_overflows"]
-        ),
-    }
 
 
 def serial_references(config, range_bin_m, blocks) -> list:
@@ -224,42 +191,28 @@ def bench_serving(n_sessions: int, duration_s: float, workers: int = 0) -> dict:
         if "stage_profile" in lockstep:
             row["stage_profile"] = lockstep["stage_profile"]
         if workers > 0:
-            # One distributed run per available transport: "distributed"
-            # stays the pipe row (artifact continuity across PRs) and
-            # "distributed_shm" rides alongside, with a comparison row
-            # so the trajectory JSON tracks the IPC delta directly.
-            by_transport = {}
-            for transport in _transports():
-                dist = run_lockstep(
-                    config, range_bin_m, blocks, n_frames,
-                    workers=workers, transport=transport,
-                )
-                by_transport[transport] = {
-                    "workers": workers,
-                    "transport": transport,
-                    "num_shards": dist["num_shards"],
-                    "wall_s": dist["wall_s"],
-                    "fps": total / dist["wall_s"],
-                    "speedup_vs_lockstep": lockstep["wall_s"] / dist["wall_s"],
-                    "p95_latency_ms": dist["p95_latency_ms"],
-                    "p99_latency_ms": dist["p99_latency_ms"],
-                    "within_75ms_budget": dist["p95_latency_ms"] <= 75.0,
-                    "tick_p95_ms": dist["tick_p95_ms"],
-                    "tick_p99_ms": dist["tick_p99_ms"],
-                    "ipc_overhead_mean_ms": dist["ipc_overhead_mean_ms"],
-                    "transport_stats": dist["transport_stats"],
-                    "shards": dist["shards"],
-                    "identical_to_serial": all(
-                        results_identical(result, ref)
-                        for result, ref in zip(dist["results"], refs)
-                    ),
-                }
-            row["distributed"] = by_transport["pipe"]
-            if "shm" in by_transport:
-                row["distributed_shm"] = by_transport["shm"]
-                row["transport_comparison"] = _transport_comparison(
-                    by_transport
-                )
+            dist = run_lockstep(
+                config, range_bin_m, blocks, n_frames, workers=workers
+            )
+            row["distributed"] = {
+                "workers": workers,
+                "num_shards": dist["num_shards"],
+                "wall_s": dist["wall_s"],
+                "fps": total / dist["wall_s"],
+                "speedup_vs_lockstep": lockstep["wall_s"] / dist["wall_s"],
+                "p95_latency_ms": dist["p95_latency_ms"],
+                "p99_latency_ms": dist["p99_latency_ms"],
+                "within_75ms_budget": dist["p95_latency_ms"] <= 75.0,
+                "tick_p95_ms": dist["tick_p95_ms"],
+                "tick_p99_ms": dist["tick_p99_ms"],
+                "ipc_overhead_mean_ms": dist["ipc_overhead_mean_ms"],
+                "transport_stats": dist["transport_stats"],
+                "shards": dist["shards"],
+                "identical_to_serial": all(
+                    results_identical(result, ref)
+                    for result, ref in zip(dist["results"], refs)
+                ),
+            }
         rows.append(row)
     return {
         "duration_s": duration_s,
@@ -293,10 +246,10 @@ def _synthetic_scenarios(n_sessions: int, duration_s: float) -> list:
 
 def _serve_streams(
     config, range_bin_m, streams, n_frames,
-    workers=0, transport=None, keep_results=False,
+    workers=0, keep_results=False,
 ) -> dict:
     """Feed per-session block iterators through one lockstep engine."""
-    with ServingEngine(workers=workers, transport=transport) as engine:
+    with ServingEngine(workers=workers) as engine:
         spec = single_session(config, range_bin_m)
         sessions = [engine.admit(spec) for _ in streams]
         start = time.perf_counter()
@@ -350,11 +303,11 @@ def _fused_parity(scenarios, check_frames: int = 8) -> bool:
 def _synthetic_distributed(
     config, range_bin_m, scenarios, chunk_frames, n_frames, workers
 ) -> dict:
-    """Distributed synthetic serving, once per transport, bit-checked.
+    """Distributed synthetic serving, bit-checked against in-process.
 
     Streams regenerate deterministically from the scenarios, so the
-    in-process run and each transport's distributed run consume
-    identical frames; any output divergence is a transport bug.
+    in-process run and the distributed run consume identical frames;
+    any output divergence is a shard-tier bug.
     """
     def build_streams():
         return CohortFrameSource(
@@ -364,37 +317,24 @@ def _synthetic_distributed(
     reference = _serve_streams(
         config, range_bin_m, build_streams(), n_frames, keep_results=True
     )
-    total = len(scenarios) * n_frames
-    transports = {}
-    for transport in _transports():
-        dist = _serve_streams(
-            config, range_bin_m, build_streams(), n_frames,
-            workers=workers, transport=transport, keep_results=True,
-        )
-        transports[transport] = {
-            "wall_s": dist["wall_s"],
-            "fps": total / dist["wall_s"],
-            "p95_latency_ms": dist["p95_latency_ms"],
-            "tick_p95_ms": dist["tick_p95_ms"],
-            "ipc_overhead_mean_ms": dist["ipc_overhead_mean_ms"],
-            "transport_stats": dist["transport_stats"],
-            "identical_to_in_process": all(
-                results_identical(result, ref)
-                for result, ref in zip(dist["results"], reference["results"])
-            ),
-        }
-    out = {
+    dist = _serve_streams(
+        config, range_bin_m, build_streams(), n_frames,
+        workers=workers, keep_results=True,
+    )
+    return {
         "workers": workers,
         "in_process_wall_s": reference["wall_s"],
-        "transports": transports,
+        "wall_s": dist["wall_s"],
+        "fps": len(scenarios) * n_frames / dist["wall_s"],
+        "p95_latency_ms": dist["p95_latency_ms"],
+        "tick_p95_ms": dist["tick_p95_ms"],
+        "ipc_overhead_mean_ms": dist["ipc_overhead_mean_ms"],
+        "transport_stats": dist["transport_stats"],
+        "identical_to_in_process": all(
+            results_identical(result, ref)
+            for result, ref in zip(dist["results"], reference["results"])
+        ),
     }
-    if "shm" in transports:
-        pipe_ms = transports["pipe"]["ipc_overhead_mean_ms"]
-        shm_ms = transports["shm"]["ipc_overhead_mean_ms"]
-        out["ipc_overhead_pipe_over_shm"] = (
-            pipe_ms / shm_ms if shm_ms > 0 else float("nan")
-        )
-    return out
 
 
 def _tick_fusion_comparison(config, range_bin_m, scenarios,
@@ -528,9 +468,9 @@ def bench_synthetic(n_sessions: int, duration_s: float,
     serving-tier frames/s gain a deployment sees.
 
     With ``workers >= 1`` the top session count also runs distributed
-    once per available transport (pipe, shm) — fused synthesis feeding
-    shard workers — recording per-transport IPC overhead, byte
-    counters, and a bit-exactness check against the in-process run.
+    — fused synthesis feeding shard workers — recording IPC overhead,
+    byte counters, and a bit-exactness check against the in-process
+    run.
     """
     restore = backend_name()
     rows = []
@@ -731,18 +671,13 @@ def main() -> int:
         dist_ok = True
         if "distributed" in top:
             dist = top["distributed"]
-            for name, t in dist["transports"].items():
-                dist_ok = dist_ok and t["identical_to_in_process"]
-                print(f"distributed/{name} ({dist['workers']} workers): "
-                      f"{t['fps']:.0f} frames/s, "
-                      f"ipc {t['ipc_overhead_mean_ms']:.2f} ms, "
-                      f"{t['transport_stats']['bytes_shm'] / 1e6:.1f} MB shm / "
-                      f"{t['transport_stats']['bytes_pickled'] / 1e6:.1f} MB "
-                      f"pickled, identical "
-                      f"{'yes' if t['identical_to_in_process'] else 'NO'}")
-            ratio = dist.get("ipc_overhead_pipe_over_shm")
-            if ratio is not None:
-                print(f"ipc overhead pipe/shm: {ratio:.2f}x")
+            dist_ok = dist["identical_to_in_process"]
+            print(f"distributed ({dist['workers']} workers): "
+                  f"{dist['fps']:.0f} frames/s, "
+                  f"ipc {dist['ipc_overhead_mean_ms']:.2f} ms, "
+                  f"{dist['transport_stats']['bytes_pickled'] / 1e6:.1f} MB "
+                  f"pickled, identical "
+                  f"{'yes' if dist_ok else 'NO'}")
         args.output.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.output}")
         return 0 if dist_ok and fusion_ok and all(
@@ -787,17 +722,6 @@ def main() -> int:
               f"mean IPC overhead {dist['ipc_overhead_mean_ms']:.2f} ms, "
               f"identical "
               f"{'yes' if dist['identical_to_serial'] else 'NO'}")
-        comparison = top.get("transport_comparison")
-        if comparison is not None:
-            shm = top["distributed_shm"]
-            print(f"transport pipe vs shm: ipc "
-                  f"{comparison['ipc_overhead_pipe_ms']:.2f} ms vs "
-                  f"{comparison['ipc_overhead_shm_ms']:.2f} ms "
-                  f"({comparison['ipc_overhead_pipe_over_shm']:.2f}x), "
-                  f"shm moved {comparison['bytes_shm'] / 1e6:.1f} MB "
-                  f"({comparison['arena_overflows']} overflows), "
-                  f"identical "
-                  f"{'yes' if shm['identical_to_serial'] else 'NO'}")
         cores = payload["cpu_count"] or 1
         if cores <= dist["workers"]:
             print(f"NOTE: only {cores} CPU core(s) — shard workers are "
@@ -817,11 +741,6 @@ def main() -> int:
         and row["distributed"]["within_75ms_budget"]
         for row in payload["scaling"]
         if "distributed" in row
-    )
-    ok = ok and all(
-        row["distributed_shm"]["identical_to_serial"]
-        for row in payload["scaling"]
-        if "distributed_shm" in row
     )
     return 0 if ok else 1
 

@@ -470,11 +470,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     interrupted = False
     start = time.perf_counter()
     # Context-managed so the shard WorkerPool is torn down on ANY exit —
-    # a Ctrl-C mid-run must not leak N forked worker processes (or, under
-    # the shm transport, their /dev/shm arenas).
-    with ServingEngine(
-        queue_capacity=args.queue, workers=workers, transport=args.transport
-    ) as engine:
+    # a Ctrl-C mid-run must not leak N forked worker processes.
+    with ServingEngine(queue_capacity=args.queue, workers=workers) as engine:
         try:
             step = 0
             while len(reports) < len(streams):
@@ -527,8 +524,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
          "yes" if r["within_75ms"] else "NO"]
         for r in reports
     ]
-    mode = (f"{engine.workers} shard workers, {engine.transport} transport"
-            if engine.distributed else "in-process")
+    mode = (f"{engine.workers} shard workers" if engine.distributed
+            else "in-process")
     if interrupted:
         print("interrupted — shard workers stopped, partial summary:")
     print(f"served {len(reports)} sessions "
@@ -539,15 +536,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     ))
     if shard_report is not None:
         for entry in shard_report:
-            overflow = (f"  overflows {entry['arena_overflows']}"
-                        if entry["arena_overflows"] else "")
             print(f"shard {entry['shard']}: {entry['steps']} steps  "
                   f"tick p95 {entry['tick_p95_ms']:.2f} ms  "
                   f"p99 {entry['tick_p99_ms']:.2f} ms  "
                   f"ipc {entry['ipc_overhead_mean_ms']:.2f} ms  "
-                  f"shm {entry['bytes_shm'] / 1e6:.1f} MB  "
                   f"pickled {entry['bytes_pickled'] / 1e6:.1f} MB  "
-                  f"({entry['descriptor_rounds']} rounds){overflow}"
+                  f"({entry['descriptor_rounds']} messages)"
                   f"{'  EXCLUDED' if entry['excluded'] else ''}")
     if stage_profile is not None:
         profiler = StageProfiler()
@@ -561,7 +555,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         payload = {
             "sessions": len(reports),
             "workers": engine.workers,
-            "transport": engine.transport,
             "duration_s": args.duration,
             "wall_s": wall_s,
             "aggregate_fps": total_frames / wall_s,
@@ -646,15 +639,6 @@ def cmd_load(args: argparse.Namespace) -> int:
         model = model or SpecMemoryModel(queue_capacity=args.queue)
         shard_budget = int(args.shard_budget_mb * 1e6)
     capacity = args.capacity if args.capacity > 0 else None
-    arena_bytes = None
-    if workers and model is not None:
-        # Size the shm arenas from the same calibrated model that
-        # governs admission: worst-case step payload across the served
-        # spec mix, before any worker exists.
-        arena_bytes = max(
-            model.arena_estimate(spec, shard_budget)
-            for spec in specs.values()
-        )
 
     start = time.perf_counter()
     with ServingEngine(
@@ -663,8 +647,6 @@ def cmd_load(args: argparse.Namespace) -> int:
         admission=admission,
         memory_model=model,
         shard_budget_bytes=shard_budget,
-        transport=args.transport,
-        arena_bytes=arena_bytes,
     ) as engine:
         harness = LoadHarness(
             engine,
@@ -699,11 +681,9 @@ def cmd_load(args: argparse.Namespace) -> int:
               f"{memory['rejections']} budget rejections")
     transport_stats = report["context"].get("transport")
     if transport_stats is not None:
-        print(f"transport  : {transport_stats['transport']}, "
-              f"{transport_stats['bytes_shm'] / 1e6:.1f} MB shm / "
+        print(f"shard ipc  : "
               f"{transport_stats['bytes_pickled'] / 1e6:.1f} MB pickled "
-              f"({transport_stats['descriptor_rounds']} rounds, "
-              f"{transport_stats['arena_overflows']} overflows)")
+              f"({transport_stats['descriptor_rounds']} messages)")
     print(f"wall clock : {wall_s:.2f} s "
           f"({report['steps']} virtual steps, "
           f"{'in-process' if not workers else f'{workers} shard workers'})")
@@ -810,10 +790,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shard worker processes for the serving tier "
                         "(default: in-process; N>=1 distributes cohorts "
                         "across N long-lived workers)")
-    p.add_argument("--transport", choices=["pipe", "shm"], default=None,
-                   help="shard IPC data plane (default: REPRO_TRANSPORT "
-                        "or pipe; shm moves bulk arrays through "
-                        "shared-memory arenas)")
     p.add_argument("--chunk", type=int, default=128,
                    help="frames synthesized per chunk (single-person)")
     p.add_argument("--seed", type=int, default=0)
@@ -860,10 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-shard predicted-memory cap (workers >= 1)")
     p.add_argument("--workers", type=int, default=None,
                    help="shard worker processes (default: in-process)")
-    p.add_argument("--transport", choices=["pipe", "shm"], default=None,
-                   help="shard IPC data plane (default: REPRO_TRANSPORT "
-                        "or pipe); arenas are sized by the memory model "
-                        "when --memory-budget-mb/--shard-budget-mb arm it")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", type=Path, default=None,
                    help="write the SLO JSON artifact here")

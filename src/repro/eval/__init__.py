@@ -2,7 +2,7 @@
 
 Reproduces the paper's Section 8-9 protocol: VICON-style ground truth,
 per-person depth calibration, N experiments of free movement, and one
-generator per published figure/table (see DESIGN.md Section 4).
+generator per published figure/table.
 """
 
 from .metrics import (

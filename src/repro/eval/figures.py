@@ -1,4 +1,4 @@
-"""One data generator per paper figure/table (DESIGN.md Section 4).
+"""One data generator per paper figure/table.
 
 Each function regenerates the data series behind a figure of the paper.
 Benchmarks call these, assert the qualitative shape, and print the same

@@ -67,7 +67,8 @@ class ExperimentScale:
 #: The paper's protocol: "100 experiments each lasting for 1 minute".
 PAPER_SCALE = ExperimentScale(num_experiments=100, duration_s=60.0, name="paper")
 
-#: Reduced default so benches complete in minutes (documented in DESIGN.md).
+#: Reduced default so benches complete in minutes (``REPRO_SCALE`` in the
+#: README's "Sharded experiment execution" section picks another).
 CI_SCALE = ExperimentScale(num_experiments=6, duration_s=12.0, name="ci")
 
 

@@ -49,14 +49,7 @@ from .cache import (
 )
 from .plan import ExperimentPlan, WorkItem
 from .pool import RemoteError, WorkerCrash, WorkerPool, pool_available
-from .transport import (
-    DEFAULT_ARENA_BYTES,
-    TRANSPORT_ENV,
-    TRANSPORTS,
-    TransportCounters,
-    resolve_transport,
-    shm_available,
-)
+from .transport import TRANSPORT_ENV, resolve_transport
 from .runners import (
     ProcessPoolRunner,
     Runner,
@@ -78,7 +71,6 @@ from .stream import (
 
 __all__ = [
     "CacheAdmissionFilter",
-    "DEFAULT_ARENA_BYTES",
     "ExperimentPlan",
     "MIN_SHARD_FRAMES",
     "NpzLruCache",
@@ -90,9 +82,7 @@ __all__ = [
     "Shard",
     "ShardedStreamRunner",
     "SpectraCache",
-    "TRANSPORTS",
     "TRANSPORT_ENV",
-    "TransportCounters",
     "WORKERS_ENV",
     "WorkItem",
     "WorkerCrash",
@@ -113,7 +103,6 @@ __all__ = [
     "results_identical",
     "scenario_key",
     "sharded_speedup_benchmark",
-    "shm_available",
     "synthesize",
     "tracked_multi_scenario",
     "tracked_scenario",

@@ -37,12 +37,9 @@ a serving tier. Platforms without ``fork`` should not construct a pool
 (:func:`pool_available` gates it); callers fall back to their serial
 in-process path, which is behavior-identical by construction.
 
-Payload bytes ride a pluggable transport (:mod:`repro.exec.transport`):
-``pipe`` pickles everything as before, ``shm`` moves bulk ndarrays
-through a preallocated per-worker shared-memory arena and keeps the
-pipe for small control descriptors. Either way the request/response
-protocol above is unchanged, and per-worker byte counters are always
-kept (:meth:`WorkerPool.transport_stats`).
+Every message is pickled once and crosses the worker's pipe as bytes;
+the parent counts those bytes and messages per worker
+(:meth:`WorkerPool.transport_stats`).
 """
 
 from __future__ import annotations
@@ -52,14 +49,10 @@ import pickle
 import signal
 import traceback
 from multiprocessing.connection import Connection, wait
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Sequence
 
-from .transport import (
-    ParentTransport,
-    TransportCounters,
-    WorkerTransport,
-    resolve_transport,
-)
+from .transport import resolve_transport
 
 __all__ = [
     "RemoteError",
@@ -131,7 +124,6 @@ def _worker_main(
     conn: Connection,
     actor_factory: Callable[..., Any] | None,
     factory_kwargs: dict[str, Any],
-    transport_config: dict[str, Any] | None = None,
 ) -> None:
     """Worker loop: receive one request, answer it, repeat until stop.
 
@@ -145,63 +137,53 @@ def _worker_main(
     Responses are ``("ok", result)`` or ``("err", exception_or_none,
     message, traceback_text)``; the exception object is included only
     when it survives a pickle round trip.
-
-    ``transport_config`` (from :meth:`ParentTransport.worker_config`)
-    selects the shm data plane: requests decode out of the arena and
-    ``ok`` results encode into it. Error and stop responses stay plain
-    pickles — they are small, and must survive a torn arena.
     """
     # A terminal Ctrl-C delivers SIGINT to the whole foreground process
     # group — workers included. Shutdown is the parent's call (it owns
     # the sessions and their partial results), so workers ignore the
     # signal and wait for an explicit "stop" or a closed pipe.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    transport = WorkerTransport(transport_config)
     actor: Any = None
-    try:
-        while True:
+    while True:
+        try:
+            request = conn.recv()
+        except (EOFError, OSError):
+            return  # parent went away; nothing left to serve
+        if request[0] == "stop":
+            conn.send(("ok", None))
+            return
+        try:
+            if request[0] == "apply":
+                _, fn, args, kwargs = request
+                result = fn(*args, **kwargs)
+            elif request[0] == "invoke":
+                _, name, args, kwargs = request
+                if actor is None:
+                    if actor_factory is None:
+                        raise RuntimeError(
+                            "pool has no actor_factory; 'invoke' requests "
+                            "need one (use 'apply' for plain functions)"
+                        )
+                    actor = actor_factory(**factory_kwargs)
+                result = getattr(actor, name)(*args, **kwargs)
+            else:  # pragma: no cover - protocol guard
+                raise RuntimeError(f"unknown request kind: {request[0]!r}")
+        except BaseException as exc:  # noqa: BLE001 - shipped to parent
+            tb = traceback.format_exc()
             try:
-                request = conn.recv()
-            except (EOFError, OSError):
-                return  # parent went away; nothing left to serve
-            if request[0] == "stop":
-                conn.send(("ok", None))
-                return
+                pickle.loads(pickle.dumps(exc))
+                payload: tuple = ("err", exc, str(exc), tb)
+            except Exception:
+                payload = ("err", None, f"{type(exc).__name__}: {exc}", tb)
             try:
-                request = transport.decode_request(request)
-                if request[0] == "apply":
-                    _, fn, args, kwargs = request
-                    result = fn(*args, **kwargs)
-                elif request[0] == "invoke":
-                    _, name, args, kwargs = request
-                    if actor is None:
-                        if actor_factory is None:
-                            raise RuntimeError(
-                                "pool has no actor_factory; 'invoke' requests "
-                                "need one (use 'apply' for plain functions)"
-                            )
-                        actor = actor_factory(**factory_kwargs)
-                    result = getattr(actor, name)(*args, **kwargs)
-                else:  # pragma: no cover - protocol guard
-                    raise RuntimeError(f"unknown request kind: {request[0]!r}")
-            except BaseException as exc:  # noqa: BLE001 - shipped to parent
-                tb = traceback.format_exc()
-                try:
-                    pickle.loads(pickle.dumps(exc))
-                    payload: tuple = ("err", exc, str(exc), tb)
-                except Exception:
-                    payload = ("err", None, f"{type(exc).__name__}: {exc}", tb)
-                try:
-                    conn.send(payload)
-                except (BrokenPipeError, OSError):
-                    return
-                continue
-            try:
-                conn.send(transport.encode_response(("ok", result)))
+                conn.send(payload)
             except (BrokenPipeError, OSError):
                 return
-    finally:
-        transport.close()
+            continue
+        try:
+            conn.send(("ok", result))
+        except (BrokenPipeError, OSError):
+            return
 
 
 class WorkerPool:
@@ -219,11 +201,6 @@ class WorkerPool:
             worker's actor, target of :meth:`invoke`. Keyword arguments
             come from ``factory_kwargs`` (must be picklable).
         factory_kwargs: keyword arguments for ``actor_factory``.
-        transport: ``"pipe"`` or ``"shm"``; ``None`` defers to the
-            ``REPRO_TRANSPORT`` environment variable (default pipe).
-        arena_bytes: per-direction shm region size per worker; ``None``
-            uses :data:`~repro.exec.transport.DEFAULT_ARENA_BYTES`.
-            Ignored under the pipe transport.
     """
 
     def __init__(
@@ -231,8 +208,6 @@ class WorkerPool:
         num_workers: int,
         actor_factory: Callable[..., Any] | None = None,
         factory_kwargs: dict[str, Any] | None = None,
-        transport: str | None = None,
-        arena_bytes: int | None = None,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
@@ -241,33 +216,26 @@ class WorkerPool:
                 "fork start method unavailable; use the serial fallback"
             )
         context = multiprocessing.get_context("fork")
+        resolve_transport()  # refuse a REPRO_TRANSPORT other than pipe
         self.num_workers = num_workers
-        self.transport = resolve_transport(transport)
         self._conns: list[Connection] = []
         self._procs: list[multiprocessing.Process] = []
-        self._pending: list[bool] = []
-        self._dead: list[bool] = []
-        self._tx: list[ParentTransport] = []
+        self._pending = [False] * num_workers
+        self._dead = [False] * num_workers
+        #: Pickled message bytes and messages, both directions, per worker.
+        self._bytes = [0] * num_workers
+        self._messages = [0] * num_workers
         for _ in range(num_workers):
-            tx = ParentTransport(self.transport, arena_bytes)
             parent_conn, child_conn = context.Pipe(duplex=True)
             proc = context.Process(
                 target=_worker_main,
-                args=(
-                    child_conn,
-                    actor_factory,
-                    factory_kwargs or {},
-                    tx.worker_config(),
-                ),
+                args=(child_conn, actor_factory, factory_kwargs or {}),
                 daemon=True,
             )
             proc.start()
             child_conn.close()
             self._conns.append(parent_conn)
             self._procs.append(proc)
-            self._pending.append(False)
-            self._dead.append(False)
-            self._tx.append(tx)
 
     # -- liveness ----------------------------------------------------------
 
@@ -282,9 +250,7 @@ class WorkerPool:
     def kill(self, worker: int) -> None:
         """Terminate one worker and mark it dead (state is discarded).
 
-        The worker's shm arena (if any) is unlinked here too, so the
-        crash-failover path can never leak ``/dev/shm`` segments; its
-        byte counters live parent-side and survive for reporting.
+        Its byte counters live parent-side and survive for reporting.
         """
         self._dead[worker] = True
         self._pending[worker] = False
@@ -292,7 +258,6 @@ class WorkerPool:
         if proc.is_alive():
             proc.terminate()
         self._conns[worker].close()
-        self._tx[worker].close()
 
     def _lose(self, worker: int, detail: str = "") -> WorkerCrash:
         self.kill(worker)
@@ -324,13 +289,17 @@ class WorkerPool:
             raise RuntimeError(
                 f"worker {worker} already has a request in flight"
             )
-        request = self._tx[worker].encode_request(
+        # The bytes Connection.send would write, pickled here so they
+        # can be counted.
+        message = ForkingPickler.dumps(
             (kind, target, tuple(args), kwargs or {})
         )
         try:
-            self._conns[worker].send(request)
+            self._conns[worker].send_bytes(message)
         except (BrokenPipeError, OSError) as exc:
             raise self._lose(worker, str(exc)) from None
+        self._bytes[worker] += len(message)
+        self._messages[worker] += 1
         self._pending[worker] = True
 
     def resync(self, timeout: float = 5.0) -> None:
@@ -354,7 +323,7 @@ class WorkerPool:
                     if not self._conns[worker].poll(timeout):
                         self._lose(worker, "no response within resync timeout")
                         continue
-                    self._conns[worker].recv()
+                    self._conns[worker].recv_bytes()
                 except (EOFError, OSError) as exc:
                     self._lose(worker, str(exc))
                     continue
@@ -367,10 +336,12 @@ class WorkerPool:
         if not self._pending[worker]:
             raise RuntimeError(f"worker {worker} has no request in flight")
         try:
-            raw = self._conns[worker].recv()
+            message = self._conns[worker].recv_bytes()
         except (EOFError, OSError) as exc:
             raise self._lose(worker, str(exc)) from None
-        status, *rest = self._tx[worker].decode_response(raw)
+        self._bytes[worker] += len(message)
+        self._messages[worker] += 1
+        status, *rest = ForkingPickler.loads(message)
         self._pending[worker] = False
         if status == "ok":
             return rest[0]
@@ -425,28 +396,27 @@ class WorkerPool:
 
     # -- accounting --------------------------------------------------------
 
-    def transport_stats(self, worker: int | None = None) -> dict[str, Any]:
-        """IPC byte/round counters (both directions, parent-side view).
+    def transport_stats(self, worker: int | None = None) -> dict[str, int]:
+        """IPC counters, both directions, kept by the parent.
+
+        ``bytes_pickled`` is the length of every pickled request and
+        response message; ``descriptor_rounds`` counts those messages.
 
         Args:
             worker: one worker's counters, or the whole pool's sum when
                 ``None``. Dead workers keep their history — the
                 counters live in the parent.
         """
-        if worker is not None:
-            stats = self._tx[worker].counters.as_dict()
-        else:
-            total = TransportCounters()
-            for tx in self._tx:
-                total.add(tx.counters)
-            stats = total.as_dict()
-        stats["transport"] = self.transport
-        return stats
+        workers = range(self.num_workers) if worker is None else [worker]
+        return {
+            "bytes_pickled": sum(self._bytes[w] for w in workers),
+            "descriptor_rounds": sum(self._messages[w] for w in workers),
+        }
 
     # -- shutdown ----------------------------------------------------------
 
     def close(self, timeout: float = 2.0) -> None:
-        """Stop every live worker, reap the processes, unlink arenas."""
+        """Stop every live worker and reap the processes."""
         for w in range(self.num_workers):
             if self._dead[w]:
                 continue
@@ -462,7 +432,6 @@ class WorkerPool:
                 proc.join(timeout)
             self._dead[w] = True
             self._conns[w].close()
-            self._tx[w].close()
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -28,6 +28,7 @@ package supplies that missing regime, deterministically:
 Entry points: ``repro load`` (CLI) and ``benchmarks/bench_load.py``.
 """
 
+from ..serve.session import frame_shape
 from .arrivals import (
     ArrivalProcess,
     DiurnalArrivals,
@@ -43,7 +44,6 @@ from .workload import (
     SyntheticFrameSource,
     Workload,
     build_workload,
-    frame_shape,
     next_blocks,
 )
 

@@ -250,8 +250,6 @@ class LoadHarness:
             "engine": {
                 "ticks": self.engine.scheduler.ticks,
                 "frames_processed": self.engine.scheduler.frames_processed,
-                "splits": self.engine.scheduler.splits,
-                "rejoins": self.engine.scheduler.rejoins,
                 "rejected_admissions": self.engine.rejected_admissions,
             },
         }

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..serve.session import Session, SessionSpec
-from .workload import frame_shape
+from ..serve.session import Session, SessionSpec, frame_shape
 
 #: Bytes per complex128 spectrum sample (the queue entries' dtype).
 _COMPLEX_BYTES = 16
@@ -138,40 +137,6 @@ class SpecMemoryModel:
         estimate = int(marginal + queue_bytes + _SESSION_OVERHEAD_BYTES)
         self._per_session[key] = estimate
         return estimate
-
-    def arena_estimate(
-        self,
-        spec: SessionSpec,
-        shard_budget_bytes: int | None = None,
-        burst: int = 4,
-    ) -> int:
-        """Predicted shm arena bytes (per direction) one shard needs.
-
-        The transport analogue of :meth:`estimate`: a step's
-        parent→shard payload is at most one ``burst`` of raw sweep
-        blocks per session, and the number of sessions a shard can
-        host is itself bounded by the memory budget — so the arena,
-        like the shard, is sized before anything allocates. Without a
-        budget, sizes for ``probe_slots`` worth of sessions (a
-        deliberate floor, not a cap: overflow degrades to the pipe,
-        counted, never wrong).
-
-        Args:
-            spec: the (dominant) session spec the tier will serve.
-            shard_budget_bytes: per-shard predicted-bytes cap, when the
-                tier runs memory-governed placement.
-            burst: worst-case frames per session per step (the
-                scheduler's ``catchup_burst``).
-        """
-        n_rx, spf, n_bins = frame_shape(spec)
-        frame_bytes = n_rx * spf * n_bins * _COMPLEX_BYTES
-        if shard_budget_bytes is None:
-            sessions = self.probe_slots
-        else:
-            sessions = max(
-                int(shard_budget_bytes) // max(self.estimate(spec), 1), 1
-            )
-        return int(max(burst, 1) * sessions * frame_bytes)
 
 
 class MemoryGovernor:

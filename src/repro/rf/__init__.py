@@ -1,8 +1,8 @@
 """RF substrate: FMCW math and a physics-level front-end simulator.
 
 The paper built an analog FMCW daughterboard for USRP because no
-off-the-shelf radio performs FMCW. This package is our software substitute
-(see DESIGN.md Section 2): it models sweep generation (with residual VCO
+off-the-shelf radio performs FMCW. This package is our software substitute:
+it models sweep generation (with residual VCO
 nonlinearity), propagation (radar equation, walls, multipath), the receive
 chain (LNA noise figure, mixer/dechirp, high-pass filter) and the 1 MS/s
 ADC, and emits per-sweep baseband spectra identical in structure to what

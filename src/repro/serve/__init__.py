@@ -17,7 +17,7 @@ cost once instead of N times.
 * :mod:`shard` — the distributed tier: :class:`ShardWorker` (cohort
   pipelines inside long-lived worker processes) and
   :class:`DistributedScheduler` (whole-cohort placement, batched
-  per-shard steps, failover, adaptive re-batching);
+  per-shard steps, failover);
 * :mod:`engine` — the :class:`ServingEngine` facade the apps and the
   ``repro serve`` CLI embed; ``workers=N`` turns it into the front end
   of the distributed tier, ``workers=0`` keeps everything in-process.
@@ -36,7 +36,7 @@ Load-bearing invariants, pinned by ``tests/test_serve.py`` and
 """
 
 from .engine import ServingEngine
-from .scheduler import Cohort, Scheduler, SessionManager, StragglerDetector
+from .scheduler import Cohort, Scheduler, SessionManager
 from .session import (
     AdmissionRefused,
     Session,
@@ -57,7 +57,6 @@ __all__ = [
     "SessionManager",
     "SessionSpec",
     "ShardWorker",
-    "StragglerDetector",
     "multi_session",
     "single_session",
 ]

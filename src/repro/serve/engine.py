@@ -30,7 +30,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..exec.pool import WorkerPool, pool_available
-from ..exec.transport import DEFAULT_ARENA_BYTES, MAX_ARENA_BYTES
 from ..multi.tracks import TrackManager
 from ..pipeline.multi import Associate
 from ..pipeline.runner import PipelineResult
@@ -66,18 +65,6 @@ class ServingEngine:
         shard_budget_bytes: per-shard memory cap — with a
             ``memory_model``, an admission whose predicted footprint
             fits no shard is refused.
-        transport: shard IPC data plane — ``"pipe"`` (pickle
-            everything, the default) or ``"shm"`` (bulk arrays through
-            per-worker shared-memory arenas); ``None`` defers to
-            ``REPRO_TRANSPORT``. Identical outputs either way.
-        arena_bytes: per-direction shm region size per shard worker.
-            ``None`` derives it from ``shard_budget_bytes`` when a
-            memory model governs placement — every session's estimate
-            includes its whole bounded input queue, so a budget-sized
-            arena provably holds any one step's payload — and falls
-            back to :data:`~repro.exec.transport.DEFAULT_ARENA_BYTES`
-            otherwise. An undersized arena is safe: overflowing arrays
-            ride the pipe (counted in ``arena_overflows``).
 
     Example:
         >>> from repro.serve import ServingEngine, single_session
@@ -94,8 +81,6 @@ class ServingEngine:
         admission=None,
         memory_model=None,
         shard_budget_bytes: int | None = None,
-        transport: str | None = None,
-        arena_bytes: int | None = None,
     ) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
@@ -106,24 +91,7 @@ class ServingEngine:
         self.rejected_admissions = 0
         self.pool: WorkerPool | None = None
         if workers:
-            if arena_bytes is None and (
-                memory_model is not None and shard_budget_bytes is not None
-            ):
-                # Predict-before-allocate arena sizing: admission keeps
-                # Σ estimate(spec) ≤ budget per shard, and each estimate
-                # already counts the session's full queue_capacity of
-                # frames — a superset of any one step's burst — so the
-                # budget upper-bounds a step payload.
-                arena_bytes = max(
-                    DEFAULT_ARENA_BYTES,
-                    min(int(shard_budget_bytes), MAX_ARENA_BYTES),
-                )
-            self.pool = WorkerPool(
-                workers,
-                actor_factory=ShardWorker,
-                transport=transport,
-                arena_bytes=arena_bytes,
-            )
+            self.pool = WorkerPool(workers, actor_factory=ShardWorker)
             self.manager = None
             self.scheduler: Scheduler | DistributedScheduler = (
                 DistributedScheduler(
@@ -142,15 +110,8 @@ class ServingEngine:
         """True when sessions are served by shard worker processes."""
         return self.pool is not None
 
-    @property
-    def transport(self) -> str:
-        """Effective shard IPC transport (``"local"`` in-process)."""
-        if self.pool is None:
-            return "local"
-        return self.pool.transport
-
     def transport_stats(self) -> dict | None:
-        """Pool-wide IPC byte/round counters (None in-process)."""
+        """Pool-wide IPC byte/message counters (None in-process)."""
         if self.pool is None:
             return None
         return self.pool.transport_stats()

@@ -9,19 +9,12 @@ batches, per cohort, every session with a queued frame into **one**
 one pass of numpy dispatch — and routes each output row back to its
 session with its latency sample.
 
-Stragglers cost nothing — until they do. A session with an empty queue
-simply sits out the tick (its state rows are untouched), and a session
-whose producer runs hot hits its bounded queue and is refused frames.
-But a session whose queue depth *persistently* lags its cohort mates is
-a scheduling problem: in lockstep it can drain at most one frame per
-cohort tick, so a producer that outpaces the tick rate backs it up
-without bound. The scheduler's answer is **adaptive re-batching**: the
-straggler is split into its own single-session cohort — its pipeline
-state handed off bit-exactly via :meth:`Pipeline.snapshot_session
-<repro.pipeline.Pipeline.snapshot_session>` — where the scheduler may
-drain up to ``catchup_burst`` frames per tick until it catches up.
-Splitting never changes any output (the serving tests pin this); it
-only changes *when* frames are processed.
+Scheduling is plain lockstep: every tick drains at most one frame per
+session. A session with an empty queue sits out the tick (its state
+rows are untouched); a session that falls behind its cohort mates stays
+in the cohort and drains one frame per tick like everyone else, and a
+producer that outruns the tick rate fills its bounded queue and is
+refused frames (backpressure).
 """
 
 from __future__ import annotations
@@ -39,20 +32,13 @@ class Cohort:
     """Sessions sharing one vectorized pipeline (same :class:`SessionSpec`).
 
     Args:
-        key: the spec's content key (splits append a ``/split<n>``
-            suffix, so split cohorts never merge back by key lookup).
+        key: the spec's content key.
         spec: the shared pipeline structure.
-        burst: frames the scheduler may drain per session per tick —
-            1 for ordinary cohorts, ``catchup_burst`` for cohorts born
-            from an adaptive split.
     """
 
-    def __init__(self, key: str, spec: SessionSpec, burst: int = 1) -> None:
+    def __init__(self, key: str, spec: SessionSpec) -> None:
         self.key = key
         self.spec = spec
-        self.burst = burst
-        #: True for cohorts born from an adaptive split (rejoin candidates).
-        self.split = False
         self.pipeline: Pipeline = spec.build_pipeline()
         self.sessions: dict[int, Session] = {}
         self._free_slots: list[int] = []
@@ -80,7 +66,7 @@ class Cohort:
 
 
 class SessionManager:
-    """Admit, look up, retire — and re-batch — sessions across cohorts.
+    """Admit, look up and retire sessions across cohorts.
 
     Args:
         queue_capacity: per-session input queue bound (backpressure).
@@ -93,7 +79,6 @@ class SessionManager:
         self.cohorts: dict[str, Cohort] = {}
         self.sessions: dict[int, Session] = {}
         self._next_id = 1
-        self._split_seq = 0
         #: Stage counters of dropped cohorts (profiling runs only), so
         #: retiring the last member of a cohort doesn't lose its ticks.
         self.retired_profile = StageProfiler()
@@ -140,67 +125,6 @@ class SessionManager:
         """The cohort a live session belongs to."""
         return session.cohort
 
-    def split(self, session: Session, burst: int = 1) -> Cohort:
-        """Re-batch one session into its own fresh cohort, bit-exactly.
-
-        The session's pipeline state rows are handed off via
-        :meth:`Pipeline.snapshot_session
-        <repro.pipeline.Pipeline.snapshot_session>` into a freshly
-        built pipeline of the same spec, so the move is invisible in
-        the session's outputs — only scheduling changes: a singleton
-        cohort with ``burst > 1`` may drain several queued frames per
-        scheduler tick.
-
-        Args:
-            session: the (live) session to split off.
-            burst: frames per tick the new cohort may drain.
-
-        Returns:
-            The session's new single-member cohort.
-        """
-        old = self.cohort_of(session)
-        if old.num_sessions <= 1:
-            old.burst = max(old.burst, burst)
-            return old  # already alone; just let it catch up
-        state = old.pipeline.snapshot_session(session.slot)
-        old.release_slot(session.slot)
-        del old.sessions[session.session_id]
-        key = f"{old.key}/split{self._split_seq}"
-        self._split_seq += 1
-        cohort = Cohort(key, session.spec, burst=burst)
-        cohort.split = True
-        self.cohorts[key] = cohort
-        session.slot = cohort.allocate_slot()
-        cohort.pipeline.restore_session(session.slot, state)
-        session.cohort = cohort
-        cohort.sessions[session.session_id] = session
-        return cohort
-
-    def merge(self, session: Session, target: Cohort) -> None:
-        """Move one session into an existing cohort, bit-exactly.
-
-        The inverse of :meth:`split`: the session's pipeline state is
-        handed off into a slot of ``target`` (same spec required), and
-        its now-empty source cohort is dropped. Used to re-batch a
-        straggler that caught up, so transient hiccups cannot fragment
-        the lockstep batching permanently.
-        """
-        old = self.cohort_of(session)
-        if old is target:
-            return
-        if target.spec.cohort_key() != session.spec.cohort_key():
-            raise ValueError("sessions only merge into same-spec cohorts")
-        state = old.pipeline.snapshot_session(session.slot)
-        old.release_slot(session.slot)
-        del old.sessions[session.session_id]
-        session.slot = target.allocate_slot()
-        target.pipeline.restore_session(session.slot, state)
-        session.cohort = target
-        target.sessions[session.session_id] = session
-        if not old.sessions:
-            self._harvest_profile(old)
-            del self.cohorts[old.key]
-
     def retire(self, session: Session) -> PipelineResult:
         """Close a session and free its slot; returns its final result.
 
@@ -227,110 +151,17 @@ class SessionManager:
         return result
 
 
-class StragglerDetector:
-    """Spot sessions whose queue depth persistently lags their cohort.
-
-    Shared by the local :class:`Scheduler` and the distributed
-    scheduler (:mod:`repro.serve.shard`): after each tick, feed it
-    every multi-member cohort's ``(session, queue depth)`` pairs; it
-    returns the sessions that have lagged the cohort's *shallowest*
-    queue by at least ``backlog`` frames for ``patience`` consecutive
-    ticks — the candidates for an adaptive split.
-
-    Args:
-        backlog: queue-depth excess over the cohort minimum that counts
-            as lagging.
-        patience: consecutive lagging ticks before a split fires (a
-            transient burst should not trigger a migration).
-    """
-
-    def __init__(self, backlog: int = 8, patience: int = 4) -> None:
-        if backlog < 1 or patience < 1:
-            raise ValueError("backlog and patience must be >= 1")
-        self.backlog = backlog
-        self.patience = patience
-        self._lagging: dict[int, int] = {}
-
-    def observe(self, members: list[tuple[Session, int]]) -> list[Session]:
-        """Update lag counters for one cohort; return sessions to split."""
-        if len(members) < 2:
-            for session, _ in members:
-                self._lagging.pop(session.session_id, None)
-            return []
-        floor = min(depth for _, depth in members)
-        due = []
-        for session, depth in members:
-            if depth - floor >= self.backlog:
-                count = self._lagging.get(session.session_id, 0) + 1
-                self._lagging[session.session_id] = count
-                if count >= self.patience:
-                    del self._lagging[session.session_id]
-                    due.append(session)
-            else:
-                self._lagging.pop(session.session_id, None)
-        return due
-
-    def forget(self, session: Session) -> None:
-        """Drop a session's counter (on retire/evict)."""
-        self._lagging.pop(session.session_id, None)
-
-    def prune(self, live_ids) -> None:
-        """Drop counters of sessions that no longer exist."""
-        self._lagging = {
-            sid: count
-            for sid, count in self._lagging.items()
-            if sid in live_ids
-        }
-
-    def sweep(self, cohorts) -> list[Session]:
-        """Observe every cohort; return all sessions due for a split.
-
-        The shared per-tick detection loop of both schedulers: each
-        cohort contributes its ``(session, queue depth)`` members.
-        """
-        due: list[Session] = []
-        for cohort in cohorts:
-            members = [(s, len(s.queue)) for s in cohort.sessions.values()]
-            due.extend(self.observe(members))
-        return due
-
-
 class Scheduler:
     """Batch ready sessions into lockstep ticks, cohort by cohort.
 
     Args:
         manager: the session manager whose cohorts are scheduled.
-        adaptive_split: enable straggler re-batching (see module doc).
-        split_backlog: queue-depth lag that marks a straggler.
-        split_patience: consecutive lagging ticks before splitting.
-        catchup_burst: frames per tick a split cohort may drain.
-        rejoin_patience: consecutive caught-up (empty queue at tick
-            end) observations before a split session merges back into
-            its spec's cohort — splits are temporary, so transient
-            hiccups cannot fragment the batching permanently.
     """
 
-    def __init__(
-        self,
-        manager: SessionManager,
-        adaptive_split: bool = True,
-        split_backlog: int = 8,
-        split_patience: int = 4,
-        catchup_burst: int = 4,
-        rejoin_patience: int = 4,
-    ) -> None:
-        if catchup_burst < 1 or rejoin_patience < 1:
-            raise ValueError("catchup_burst and rejoin_patience must be >= 1")
+    def __init__(self, manager: SessionManager) -> None:
         self.manager = manager
-        self.adaptive_split = adaptive_split
-        self.catchup_burst = catchup_burst
-        self.rejoin_patience = rejoin_patience
-        self.detector = StragglerDetector(split_backlog, split_patience)
-        self._caught_up: dict[int, int] = {}
         self.ticks = 0
         self.frames_processed = 0
-        self.splits = 0
-        self.rejoins = 0
 
     def stage_profile(self) -> StageProfiler:
         """Merged per-stage counters (see :meth:`SessionManager.stage_profile`)."""
@@ -369,71 +200,19 @@ class Scheduler:
         Pops one queued frame from each session that has one, advances
         each cohort's batch through a single vectorized pipeline tick,
         and routes output rows and latency samples back per session.
-        Split cohorts (``burst > 1``) may drain several frames in the
-        same pass — the catch-up mechanics of adaptive re-batching.
 
         Returns:
             Number of frames consumed (0 means every queue was empty).
         """
         consumed = 0
-        for cohort in list(self.manager.cohorts.values()):
-            for _ in range(cohort.burst):
-                ready = [s for s in cohort.sessions.values() if s.queue]
-                if not ready:
-                    break
+        for cohort in self.manager.cohorts.values():
+            ready = [s for s in cohort.sessions.values() if s.queue]
+            if ready:
                 consumed += self._tick_cohort(cohort, ready)
         if consumed:
             self.ticks += 1
             self.frames_processed += consumed
-        if self.adaptive_split:
-            self._rebatch()
         return consumed
-
-    def _rebatch(self) -> None:
-        """Split persistent stragglers; rejoin the ones that caught up."""
-        detector = self.detector
-        # A split needs some session `backlog` deeper than its cohort's
-        # floor, which requires a queue at least that deep — so with no
-        # lag counters pending, one cheap depth scan replaces the full
-        # per-cohort sweep (which would only pop from empty dicts).
-        if detector._lagging or any(
-            len(s.queue) >= detector.backlog
-            for s in self.manager.sessions.values()
-        ):
-            detector.prune(self.manager.sessions)
-            for session in detector.sweep(self.manager.cohorts.values()):
-                self.manager.split(session, burst=self.catchup_burst)
-                self.splits += 1
-        self._caught_up = {
-            sid: count
-            for sid, count in self._caught_up.items()
-            if sid in self.manager.sessions
-        }
-        for cohort in list(self.manager.cohorts.values()):
-            if not cohort.split or cohort.num_sessions != 1:
-                continue
-            (session,) = cohort.sessions.values()
-            if session.queue:
-                self._caught_up.pop(session.session_id, None)
-                continue
-            count = self._caught_up.get(session.session_id, 0) + 1
-            if count < self.rejoin_patience:
-                self._caught_up[session.session_id] = count
-                continue
-            self._caught_up.pop(session.session_id, None)
-            base = self.manager.cohorts.get(session.spec.cohort_key())
-            if base is None:
-                # Nobody left to rejoin: this cohort *becomes* the base
-                # (re-keyed to the spec key so future admissions join it
-                # instead of founding a parallel pipeline).
-                del self.manager.cohorts[cohort.key]
-                cohort.key = session.spec.cohort_key()
-                cohort.burst = 1
-                cohort.split = False
-                self.manager.cohorts[cohort.key] = cohort
-            else:
-                self.manager.merge(session, base)
-                self.rejoins += 1
 
     def drain(self) -> int:
         """Tick until every session queue is empty; frames consumed."""

@@ -166,6 +166,21 @@ def multi_session(
     )
 
 
+def frame_shape(spec: SessionSpec) -> tuple[int, int, int]:
+    """The ``(n_rx, sweeps_per_frame, n_bins)`` block shape a spec eats.
+
+    ``n_bins`` is the spec pipeline's *cropped* bin count (the
+    max-range crop), so frames carry no bins the pipeline would
+    immediately discard.
+    """
+    array = spec.array if spec.array is not None else t_array(spec.config.array)
+    n_rx = len(array.rx)
+    spf = spec.config.pipeline.sweeps_per_frame
+    max_range = spec.config.pipeline.max_range_m
+    n_bins = int(np.ceil(max_range / spec.range_bin_m)) + 1
+    return n_rx, spf, n_bins
+
+
 def tick_row_fields(tick: SessionTick, row: int) -> dict:
     """One tick row as a plain field dict (the local transport unit).
 
@@ -197,8 +212,7 @@ def tick_group(tick: SessionTick, session_ids: np.ndarray) -> dict:
     The shard→parent transport unit of the distributed tier: instead of
     one field dict per row (many small pickles), a group carries each
     output field as the tick's whole ``(n_rows, ...)`` array plus the
-    parallel ``session_ids`` routing vector — fixed-dtype slabs the shm
-    transport can move without pickling, and exactly what the pipeline
+    parallel ``session_ids`` routing vector — exactly what the pipeline
     already produced, so building a group copies nothing.
 
     Args:
@@ -262,6 +276,7 @@ class Session:
         self.spec = spec
         self.slot = slot
         self.queue_capacity = queue_capacity
+        self._frame_shape = frame_shape(spec)
         self.queue: deque[tuple[np.ndarray, float]] = deque()
         self.latency = LatencyReport()
         self.frames_in = 0
@@ -289,10 +304,20 @@ class Session:
         The enqueue timestamp starts this frame's latency clock — queue
         wait counts against the 75 ms budget, exactly as it would for a
         real user.
+
+        Raises:
+            ValueError: the block is not the spec's
+                :func:`frame_shape`. It is refused here, before it can
+                fail the tick of the whole cohort it would join.
         """
         if self.closed:
             raise RuntimeError(
                 f"session {self.session_id} is closed and takes no frames"
+            )
+        if np.shape(sweep_block) != self._frame_shape:
+            raise ValueError(
+                f"session {self.session_id} expects {self._frame_shape} "
+                f"sweep blocks, got {np.shape(sweep_block)}"
             )
         if len(self.queue) >= self.queue_capacity:
             return False

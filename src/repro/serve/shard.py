@@ -29,12 +29,6 @@ exactly the semantics of the sharded stream runner — so each failed-over
 session re-primes background subtraction on its next frame and loses
 one output frame, deterministically, while every other session is
 untouched.
-
-Adaptive re-batching crosses processes here: a straggling session's
-state is pulled out of its shard via :meth:`Pipeline.snapshot_session`
-(picklable by design), restored bit-exactly into a fresh singleton
-cohort on the least-loaded shard, and drained at ``catchup_burst``
-frames per tick.
 """
 
 from __future__ import annotations
@@ -46,7 +40,7 @@ import numpy as np
 from ..exec.pool import WorkerCrash, WorkerPool, remote_failure
 from ..kernels.profile import StageProfiler
 from ..pipeline.runner import PipelineResult
-from .scheduler import Cohort, StragglerDetector
+from .scheduler import Cohort
 from .session import (
     AdmissionRefused,
     Session,
@@ -116,19 +110,6 @@ class ShardWorker:
         self._placement[session_id] = (key, slot)
         return slot
 
-    def restore(
-        self, session_id: int, key: str, spec: SessionSpec, state: dict
-    ) -> int:
-        """Admit a session and install a migrated pipeline snapshot."""
-        slot = self.admit(session_id, key, spec)
-        self.cohorts[key].pipeline.restore_session(slot, state)
-        return slot
-
-    def snapshot(self, session_id: int) -> dict:
-        """Hand off one session's pipeline state (for migration)."""
-        key, slot = self._placement[session_id]
-        return self.cohorts[key].pipeline.snapshot_session(slot)
-
     def evict(self, session_id: int) -> None:
         """Forget a session's state slot; drop its cohort when empty."""
         key, slot = self._placement.pop(session_id)
@@ -148,27 +129,24 @@ class ShardWorker:
     # -- the unit of work --------------------------------------------------
 
     def step(
-        self, batch: list[tuple[int, list[np.ndarray]]]
+        self, batch: list[tuple[int, np.ndarray]]
     ) -> tuple[list[dict], float]:
         """Advance this shard one scheduler tick.
 
         Args:
-            batch: ``(session_id, [sweep_block, ...])`` pairs — usually
-                one block each; split cohorts catching up send several.
+            batch: one ``(session_id, sweep_block)`` pair per session
+                with a frame this tick.
 
         Returns:
-            ``(groups, tick_s)``: one output group per (cohort, burst
-            round) pipeline tick — the tick's emitted rows as column
-            slabs with a parallel session-id routing vector (see
+            ``(groups, tick_s)``: one output group per cohort pipeline
+            tick — the tick's emitted rows as column slabs with a
+            parallel session-id routing vector (see
             :func:`~repro.serve.session.tick_group`; a tick may emit
             fewer rows than it was fed when frames only primed) — and
             the wall-clock seconds spent ticking pipelines, which the
             parent subtracts from the round-trip time to measure IPC
-            overhead. Groups arrive in per-cohort round order, so each
-            session's rows are in its frame order; the parent expands
-            them row by row with
-            :func:`~repro.serve.session.group_row_fields`, value-
-            identical to the per-row dicts this method used to ship.
+            overhead. The parent expands each group row by row with
+            :func:`~repro.serve.session.group_row_fields`.
         """
         if self._fail_in is not None:
             self._fail_in -= 1
@@ -177,32 +155,28 @@ class ShardWorker:
                 raise RuntimeError("injected shard failure (fail_next_step)")
         start = perf_counter()
         groups: list[dict] = []
-        by_cohort: dict[str, list[tuple[int, int, list[np.ndarray]]]] = {}
-        for sid, blocks in batch:
+        by_cohort: dict[str, list[tuple[int, int, np.ndarray]]] = {}
+        for sid, block in batch:
             key, slot = self._placement[sid]
-            by_cohort.setdefault(key, []).append((sid, slot, blocks))
+            by_cohort.setdefault(key, []).append((sid, slot, block))
         for key, members in by_cohort.items():
-            pipeline = self.cohorts[key].pipeline
-            rounds = max(len(blocks) for _, _, blocks in members)
-            for r in range(rounds):
-                active = [m for m in members if r < len(m[2])]
-                slots = np.fromiter(
-                    (slot for _, slot, _ in active),
-                    dtype=np.intp,
-                    count=len(active),
+            slots = np.fromiter(
+                (slot for _, slot, _ in members),
+                dtype=np.intp,
+                count=len(members),
+            )
+            tick = self.cohorts[key].pipeline.tick(
+                [block for _, _, block in members], slots
+            )
+            if tick.num_rows:
+                sid_of_slot = {slot: sid for sid, slot, _ in members}
+                session_ids = np.fromiter(
+                    (sid_of_slot[int(slot)] for slot in tick.slots),
+                    dtype=np.int64,
+                    count=tick.num_rows,
                 )
-                tick = pipeline.tick(
-                    [blocks[r] for _, _, blocks in active], slots
-                )
-                if tick.num_rows:
-                    sid_of_slot = {slot: sid for sid, slot, _ in active}
-                    session_ids = np.fromiter(
-                        (sid_of_slot[int(slot)] for slot in tick.slots),
-                        dtype=np.int64,
-                        count=tick.num_rows,
-                    )
-                    groups.append(tick_group(tick, session_ids))
-                self.frames_processed += len(active)
+                groups.append(tick_group(tick, session_ids))
+        self.frames_processed += len(batch)
         self.steps += 1
         return groups, perf_counter() - start
 
@@ -239,14 +213,13 @@ class PlacedCohort:
     """Front-end bookkeeping for one cohort living on a shard.
 
     The parent-side mirror of the shard's :class:`Cohort`: no pipeline,
-    just membership, placement, and the catch-up burst budget. Unlike
-    the single-process engine — where a spec has exactly one cohort —
-    the distributed tier may run **one cohort per (spec, shard)**: the
-    cohort is the placement unit (it always lives whole on one shard),
-    and homogeneous traffic spreads across shards by founding sibling
-    cohorts of the same spec. Partitioning sessions into more cohorts
-    never changes outputs (tick rows are independent); it only changes
-    where they are computed.
+    just membership and placement. Unlike the single-process engine —
+    where a spec has exactly one cohort — the distributed tier may run
+    **one cohort per (spec, shard)**: the cohort is the placement unit
+    (it always lives whole on one shard), and homogeneous traffic
+    spreads across shards by founding sibling cohorts of the same spec.
+    Partitioning sessions into more cohorts never changes outputs (tick
+    rows are independent); it only changes where they are computed.
 
     Args:
         key: unique placement key (``<spec key>#<seq>`` in the
@@ -254,24 +227,15 @@ class PlacedCohort:
         spec_key: the spec's content key — shared by sibling cohorts.
         spec: the shared pipeline structure.
         shard: worker index currently hosting the cohort.
-        burst: frames per session per tick the scheduler may drain.
     """
 
     def __init__(
-        self,
-        key: str,
-        spec_key: str,
-        spec: SessionSpec,
-        shard: int,
-        burst: int = 1,
+        self, key: str, spec_key: str, spec: SessionSpec, shard: int
     ) -> None:
         self.key = key
         self.spec_key = spec_key
         self.spec = spec
         self.shard = shard
-        self.burst = burst
-        #: True for cohorts born from an adaptive split (rejoin candidates).
-        self.split = False
         self.sessions: dict[int, Session] = {}
 
     @property
@@ -286,36 +250,33 @@ class ShardStats:
     Attributes:
         tick_s: worker-reported pipeline-tick seconds per step.
         round_trip_s: submit-to-response wall seconds per step.
-        bytes_pickled: array bytes that crossed this shard's pipe
-            inline (both directions, cumulative).
-        bytes_shm: array bytes that crossed through the shm arena.
+        bytes_pickled: pickled message bytes exchanged with this shard
+            (both directions, cumulative).
         descriptor_rounds: IPC messages exchanged with the shard.
-        arena_overflows: arrays that fell back to the pipe because the
-            arena region was full.
     """
 
     def __init__(self) -> None:
         self.tick_s: list[float] = []
         self.round_trip_s: list[float] = []
         self.bytes_pickled = 0
-        self.bytes_shm = 0
         self.descriptor_rounds = 0
-        self.arena_overflows = 0
 
     def record_transport(self, stats: dict) -> None:
         """Refresh the cumulative IPC counters from the pool's ledger."""
-        self.bytes_pickled = int(stats.get("bytes_pickled", 0))
-        self.bytes_shm = int(stats.get("bytes_shm", 0))
-        self.descriptor_rounds = int(stats.get("descriptor_rounds", 0))
-        self.arena_overflows = int(stats.get("arena_overflows", 0))
+        self.bytes_pickled = stats["bytes_pickled"]
+        self.descriptor_rounds = stats["descriptor_rounds"]
 
     def summary(self) -> dict:
-        """p50/p95/p99 tick time plus mean IPC overhead, in milliseconds."""
+        """p50/p95/p99 tick time plus mean IPC overhead, in milliseconds.
+
+        ``bytes_shm`` is always 0: every byte crosses the pipe. The key
+        stays because ``perfbench/servbench/runner.py`` sums it with
+        ``bytes_pickled``.
+        """
         transport = {
             "bytes_pickled": self.bytes_pickled,
-            "bytes_shm": self.bytes_shm,
+            "bytes_shm": 0,
             "descriptor_rounds": self.descriptor_rounds,
-            "arena_overflows": self.arena_overflows,
         }
         if not self.tick_s:
             return {
@@ -349,12 +310,6 @@ class DistributedScheduler:
     Args:
         pool: worker pool whose actors are :class:`ShardWorker`\\ s.
         queue_capacity: per-session input queue bound (backpressure).
-        adaptive_split: enable straggler re-batching across shards.
-        split_backlog: queue-depth lag that marks a straggler.
-        split_patience: consecutive lagging ticks before splitting.
-        catchup_burst: frames per tick a split cohort may drain.
-        rejoin_patience: consecutive caught-up observations before a
-            split session migrates back into a sibling cohort.
         memory_model: optional per-session memory estimator
             (``estimate(spec) -> bytes``). When present, placement
             weighs shards by *predicted committed bytes* instead of raw
@@ -373,29 +328,17 @@ class DistributedScheduler:
         self,
         pool: WorkerPool,
         queue_capacity: int = 64,
-        adaptive_split: bool = True,
-        split_backlog: int = 8,
-        split_patience: int = 4,
-        catchup_burst: int = 4,
-        rejoin_patience: int = 4,
         memory_model=None,
         shard_budget_bytes: int | None = None,
     ) -> None:
         if queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
-        if catchup_burst < 1 or rejoin_patience < 1:
-            raise ValueError("catchup_burst and rejoin_patience must be >= 1")
         if shard_budget_bytes is not None and shard_budget_bytes <= 0:
             raise ValueError("shard_budget_bytes must be positive")
         self.pool = pool
         self.queue_capacity = queue_capacity
         self.memory_model = memory_model
         self.shard_budget_bytes = shard_budget_bytes
-        self.adaptive_split = adaptive_split
-        self.catchup_burst = catchup_burst
-        self.rejoin_patience = rejoin_patience
-        self.detector = StragglerDetector(split_backlog, split_patience)
-        self._caught_up: dict[int, int] = {}
         self.cohorts: dict[str, PlacedCohort] = {}
         self.sessions: dict[int, Session] = {}
         self.excluded_shards: set[int] = set()
@@ -404,13 +347,11 @@ class DistributedScheduler:
         }
         self.ticks = 0
         self.frames_processed = 0
-        self.splits = 0
-        self.rejoins = 0
         #: Most recent shard failure (surfaced when the tier goes down).
         self.last_failure: BaseException | None = None
         self.failovers = 0
         self._next_id = 1
-        self._split_seq = 0
+        self._cohort_seq = 0
 
     # -- placement ---------------------------------------------------------
 
@@ -461,16 +402,16 @@ class DistributedScheduler:
     def _exclude_shard(
         self,
         shard: int,
-        in_flight: list[tuple[Session, list[tuple[np.ndarray, float]]]],
+        in_flight: list[tuple[Session, tuple[np.ndarray, float]]],
     ) -> None:
         """Mark a failed shard excluded and requeue its in-flight frames.
 
         In-flight frames go back to the *head* of their sessions'
-        queues (oldest first, enqueue timestamps preserved), so no
-        frame is lost and ordering holds. :meth:`_failover` re-places
-        the dead shard's cohorts — kept separate so multiple failures
-        in one tick are all excluded before any placement decision, and
-        so re-admission never races a step still in flight elsewhere.
+        queues (enqueue timestamps preserved), so no frame is lost and
+        ordering holds. :meth:`_failover` re-places the dead shard's
+        cohorts — kept separate so multiple failures in one tick are all
+        excluded before any placement decision, and so re-admission
+        never races a step still in flight elsewhere.
         """
         self.excluded_shards.add(shard)
         try:
@@ -478,8 +419,8 @@ class DistributedScheduler:
         except Exception:  # pragma: no cover - already dead
             pass
         self.failovers += 1
-        for session, entries in in_flight:
-            session.queue.extendleft(reversed(entries))
+        for session, entry in in_flight:
+            session.queue.appendleft(entry)
 
     def _failover(self) -> None:
         """Re-place every cohort stranded on an excluded shard.
@@ -519,13 +460,9 @@ class DistributedScheduler:
                 continue
             cohort.shard = target
 
-    def _fail_shard(
-        self,
-        shard: int,
-        in_flight: list[tuple[Session, list[tuple[np.ndarray, float]]]],
-    ) -> None:
-        """Exclude + fail over in one call (no other requests in flight)."""
-        self._exclude_shard(shard, in_flight)
+    def _fail_shard(self, shard: int) -> None:
+        """Exclude + fail over in one call (no requests in flight)."""
+        self._exclude_shard(shard, [])
         self._failover()
 
     # -- admission / retirement --------------------------------------------
@@ -559,15 +496,13 @@ class DistributedScheduler:
             (
                 c
                 for c in self.cohorts.values()
-                # Never admit into a split cohort: it is mid-catch-up,
-                # and a second member would stop it from ever rejoining.
-                if c.spec_key == spec_key and c.shard == target and not c.split
+                if c.spec_key == spec_key and c.shard == target
             ),
             None,
         )
         if cohort is None:
-            key = f"{spec_key}#{self._split_seq}"
-            self._split_seq += 1
+            key = f"{spec_key}#{self._cohort_seq}"
+            self._cohort_seq += 1
             cohort = PlacedCohort(key, spec_key, spec, target)
             self.cohorts[key] = cohort
         session = Session(self._next_id, spec, -1, self.queue_capacity)
@@ -580,7 +515,7 @@ class DistributedScheduler:
             if not remote_failure(exc):
                 raise
             self.last_failure = exc
-            self._fail_shard(cohort.shard, [])
+            self._fail_shard(cohort.shard)
             session.slot = self.pool.invoke(
                 cohort.shard, "admit", session.session_id, cohort.key, spec
             )
@@ -597,7 +532,6 @@ class DistributedScheduler:
         result = session.result()
         session.closed = True
         session.queue.clear()
-        self.detector.forget(session)
         del cohort.sessions[session.session_id]
         del self.sessions[session.session_id]
         try:
@@ -606,7 +540,7 @@ class DistributedScheduler:
             if not remote_failure(exc):
                 raise
             self.last_failure = exc
-            self._fail_shard(cohort.shard, [])
+            self._fail_shard(cohort.shard)
         if not cohort.sessions:
             del self.cohorts[cohort.key]
         return result
@@ -616,8 +550,8 @@ class DistributedScheduler:
     def tick(self) -> int:
         """One distributed pass: batch per shard, overlap, route, merge.
 
-        Pops up to ``burst`` queued frames per ready session, submits
-        every involved shard its batch *before* awaiting any response
+        Pops one queued frame per ready session, submits every
+        involved shard its batch *before* awaiting any response
         (shard compute overlaps), then routes each shard's output rows
         and latency samples back as responses arrive. A shard that
         fails mid-step is excluded and failed over without dropping a
@@ -626,24 +560,20 @@ class DistributedScheduler:
         Returns:
             Number of frames consumed (0 means every queue was empty).
         """
-        batches: dict[
-            int, list[tuple[Session, list[tuple[np.ndarray, float]]]]
-        ] = {}
-        for cohort in list(self.cohorts.values()):
+        batches: dict[int, list[tuple[Session, tuple[np.ndarray, float]]]] = {}
+        for cohort in self.cohorts.values():
             for session in cohort.sessions.values():
-                take = min(len(session.queue), cohort.burst)
-                if take:
-                    entries = [session.queue.popleft() for _ in range(take)]
+                if session.queue:
                     batches.setdefault(cohort.shard, []).append(
-                        (session, entries)
+                        (session, session.queue.popleft())
                     )
         consumed = 0
         submitted: dict[int, float] = {}
         failed: list[int] = []
         for shard, batch in batches.items():
             payload = [
-                (session.session_id, [block for block, _ in entries])
-                for session, entries in batch
+                (session.session_id, block)
+                for session, (block, _) in batch
             ]
             try:
                 self.pool.submit(shard, "invoke", "step", (payload,))
@@ -676,10 +606,9 @@ class DistributedScheduler:
                 stats.tick_s.append(tick_s)
                 stats.round_trip_s.append(done - submitted[shard])
                 stats.record_transport(self.pool.transport_stats(shard))
-                for session, entries in batches[shard]:
-                    for _, enqueued in entries:
-                        session.latency.latencies_s.append(done - enqueued)
-                    consumed += len(entries)
+                for session, (_, enqueued) in batches[shard]:
+                    session.latency.latencies_s.append(done - enqueued)
+                consumed += len(batches[shard])
                 for group in groups:
                     session_ids = group["session_ids"]
                     for row in range(len(session_ids)):
@@ -696,8 +625,6 @@ class DistributedScheduler:
         if consumed:
             self.ticks += 1
             self.frames_processed += consumed
-        if self.adaptive_split:
-            self._rebatch()
         return consumed
 
     def drain(self) -> int:
@@ -708,135 +635,6 @@ class DistributedScheduler:
             if consumed == 0:
                 return total
             total += consumed
-
-    # -- adaptive re-batching ----------------------------------------------
-
-    def _rebatch(self) -> None:
-        """Split persistent stragglers; rejoin the ones that caught up."""
-        self.detector.prune(self.sessions)
-        for session in self.detector.sweep(self.cohorts.values()):
-            self._split(session)
-        self._caught_up = {
-            sid: count
-            for sid, count in self._caught_up.items()
-            if sid in self.sessions
-        }
-        for cohort in list(self.cohorts.values()):
-            if not cohort.split or cohort.num_sessions != 1:
-                continue
-            (session,) = cohort.sessions.values()
-            if session.queue:
-                self._caught_up.pop(session.session_id, None)
-                continue
-            count = self._caught_up.get(session.session_id, 0) + 1
-            if count < self.rejoin_patience:
-                self._caught_up[session.session_id] = count
-                continue
-            self._caught_up.pop(session.session_id, None)
-            self._rejoin(session)
-
-    def _split(self, session: Session) -> None:
-        """Migrate one straggler into a singleton cohort, bit-exactly.
-
-        The session's pipeline state crosses processes as a
-        :meth:`Pipeline.snapshot_session` hand-off; the new cohort gets
-        the catch-up burst budget and lands on the least-loaded shard.
-        A shard failure during migration falls back to the ordinary
-        failover path (fresh state), never an inconsistent one — the
-        session is registered in its new cohort *before* the restore,
-        so failover finds it even when the restore target dies.
-        """
-        cohort: PlacedCohort = session.cohort
-        if cohort.num_sessions <= 1:
-            cohort.burst = max(cohort.burst, self.catchup_burst)
-            cohort.split = True
-            return
-        source = cohort.shard
-        try:
-            state = self.pool.invoke(source, "snapshot", session.session_id)
-            self.pool.invoke(source, "evict", session.session_id)
-        except Exception as exc:
-            if not remote_failure(exc):
-                raise
-            self.last_failure = exc
-            self._fail_shard(source, [])
-            return
-        del cohort.sessions[session.session_id]
-        key = f"{cohort.spec_key}#{self._split_seq}"
-        self._split_seq += 1
-        split = PlacedCohort(
-            key,
-            cohort.spec_key,
-            cohort.spec,
-            self._least_loaded(),
-            burst=self.catchup_burst,
-        )
-        split.split = True
-        self.cohorts[key] = split
-        session.cohort = split
-        split.sessions[session.session_id] = session
-        self.splits += 1
-        try:
-            session.slot = self.pool.invoke(
-                split.shard, "restore", session.session_id, key,
-                cohort.spec, state,
-            )
-        except Exception as exc:
-            if not remote_failure(exc):
-                raise
-            # The migrated state died with the target; ordinary failover
-            # re-places the (already-registered) session with fresh
-            # state on the session clock.
-            self._fail_shard(split.shard, [])
-
-    def _rejoin(self, session: Session) -> None:
-        """Merge a caught-up split session back into a sibling cohort.
-
-        Splits are temporary: once the backlog is gone, the session
-        migrates (bit-exactly, same snapshot hand-off) into a same-spec
-        non-split cohort — preferring one already on its shard — so
-        transient stragglers cannot fragment the lockstep batching
-        permanently. With no sibling to rejoin, the cohort simply stops
-        being special.
-        """
-        cohort: PlacedCohort = session.cohort
-        siblings = [
-            c
-            for c in self.cohorts.values()
-            if c is not cohort and c.spec_key == cohort.spec_key and not c.split
-        ]
-        if not siblings:
-            cohort.burst = 1
-            cohort.split = False
-            return
-        target = next(
-            (c for c in siblings if c.shard == cohort.shard), siblings[0]
-        )
-        source = cohort.shard
-        try:
-            state = self.pool.invoke(source, "snapshot", session.session_id)
-            self.pool.invoke(source, "evict", session.session_id)
-        except Exception as exc:
-            if not remote_failure(exc):
-                raise
-            self.last_failure = exc
-            self._fail_shard(source, [])
-            return
-        del cohort.sessions[session.session_id]
-        del self.cohorts[cohort.key]
-        session.cohort = target
-        target.sessions[session.session_id] = session
-        self.rejoins += 1
-        try:
-            session.slot = self.pool.invoke(
-                target.shard, "restore", session.session_id, target.key,
-                target.spec, state,
-            )
-        except Exception as exc:
-            if not remote_failure(exc):
-                raise
-            self.last_failure = exc
-            self._fail_shard(target.shard, [])
 
     # -- reporting ---------------------------------------------------------
 
@@ -859,7 +657,7 @@ class DistributedScheduler:
                 if not remote_failure(exc):
                     raise
                 self.last_failure = exc
-                self._fail_shard(shard, [])
+                self._fail_shard(shard)
         return merged
 
     def shard_report(self) -> list[dict]:

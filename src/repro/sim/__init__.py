@@ -2,7 +2,7 @@
 
 These modules substitute for the paper's physical experiment apparatus:
 the VICON room with its 6-inch hollow wall, the eleven human subjects,
-and the VICON motion-capture ground truth (see DESIGN.md Section 2).
+and the VICON motion-capture ground truth.
 """
 
 from .room import Room, through_wall_room, line_of_sight_room

@@ -8,12 +8,18 @@ The properties the distributed tiers lean on:
   worker survives and keeps serving;
 * a killed worker surfaces as :class:`WorkerCrash` and the pool keeps
   routing to survivors — the failure seam the serving tier's failover
-  is built on.
+  is built on;
+* the parent counts every pickled message byte, both directions, and an
+  interrupted pool resyncs with a bounded wait instead of hanging on a
+  wedged worker;
+* ``REPRO_TRANSPORT`` accepts only ``pipe``.
 """
 
 import os
 import time
+from multiprocessing.reduction import ForkingPickler
 
+import numpy as np
 import pytest
 
 from repro.exec.pool import (
@@ -22,6 +28,7 @@ from repro.exec.pool import (
     WorkerPool,
     pool_available,
 )
+from repro.exec.transport import TRANSPORT_ENV, resolve_transport
 
 pytestmark = pytest.mark.skipif(
     not pool_available(), reason="platform cannot fork"
@@ -43,6 +50,15 @@ def boom(message):
 
 def sleep_forever():
     time.sleep(60)
+
+
+def echo(payload):
+    return payload
+
+
+def sleep_then(payload, seconds):
+    time.sleep(seconds)
+    return payload
 
 
 def unpicklable_boom():
@@ -172,3 +188,53 @@ class TestLifecycle:
     def test_zero_workers_rejected(self):
         with pytest.raises(ValueError):
             WorkerPool(0)
+
+
+class TestIPC:
+    def test_apply_roundtrip_counts_bytes(self, pool):
+        """Counters are the pickled request + response message lengths."""
+        payload = {"spectrum": np.arange(512.0), "meta": ("x", 3)}
+        out = pool.apply(0, echo, payload)
+        np.testing.assert_array_equal(out["spectrum"], payload["spectrum"])
+        request = ForkingPickler.dumps(("apply", echo, (payload,), {}))
+        response = ForkingPickler.dumps(("ok", payload))
+        assert pool.transport_stats(worker=0) == {
+            "bytes_pickled": len(request) + len(response),
+            "descriptor_rounds": 2,
+        }
+        assert pool.transport_stats(worker=1) == {
+            "bytes_pickled": 0,
+            "descriptor_rounds": 0,
+        }
+        pool.apply(1, echo, 7)
+        total = pool.transport_stats()
+        assert total["descriptor_rounds"] == 4
+        assert total["bytes_pickled"] > len(request) + len(response)
+
+    def test_resync_times_out_on_wedged_worker(self, pool):
+        pool.submit(0, "apply", sleep_then, (1, 30.0))
+        start = time.perf_counter()
+        pool.resync(timeout=0.3)
+        assert time.perf_counter() - start < 5.0
+        assert not pool.alive(0)  # wedged worker abandoned, not waited
+        assert pool.apply(1, echo, "ok") == "ok"
+
+
+class TestResolveTransport:
+    def test_default_is_pipe(self, monkeypatch):
+        monkeypatch.delenv(TRANSPORT_ENV, raising=False)
+        assert resolve_transport() == "pipe"
+        monkeypatch.setenv(TRANSPORT_ENV, " Pipe ")
+        assert resolve_transport() == "pipe"
+
+    def test_env_garbage_rejected(self, monkeypatch):
+        monkeypatch.setenv(TRANSPORT_ENV, "carrier-pigeon")
+        with pytest.raises(ValueError, match="unknown transport"):
+            resolve_transport()
+
+    def test_env_shm_rejected(self, monkeypatch):
+        monkeypatch.setenv(TRANSPORT_ENV, "shm")
+        with pytest.raises(ValueError, match="unknown transport"):
+            resolve_transport()
+        with pytest.raises(ValueError, match="unknown transport"):
+            WorkerPool(1)

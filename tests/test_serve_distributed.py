@@ -10,9 +10,10 @@ The load-bearing properties:
   fail over to surviving shards without losing a queued frame, staying
   on the session clock, while sessions on other shards are untouched
   bitwise;
-* adaptive re-batching splits a persistent straggler into its own
-  cohort — migrating its pipeline state bit-exactly, in-process or
-  across worker processes — and burst-drains its backlog.
+* scheduling is lockstep: a session far behind its cohort mates stays
+  in their cohort and drains one frame per tick, bitwise unchanged;
+* a malformed frame is refused at ``offer`` and never reaches a tick,
+  so the engine — in-process or sharded — keeps serving everyone else.
 """
 
 import numpy as np
@@ -21,10 +22,8 @@ import pytest
 from repro.config import default_config
 from repro.core.tracker import WiTrack
 from repro.exec.pool import pool_available
-from repro.exec.transport import shm_available
 from repro.multi import MultiScenario, MultiWiTrack
 from repro.serve import ServingEngine, multi_session, single_session
-from repro.serve.scheduler import StragglerDetector
 from repro.sim import Scenario
 from repro.sim.body import HumanBody
 from repro.sim.motion import non_colliding_walks, random_walk
@@ -33,15 +32,6 @@ from repro.sim.room import through_wall_room
 pytestmark = pytest.mark.skipif(
     not pool_available(), reason="platform cannot fork"
 )
-
-
-@pytest.fixture(params=["pipe", "shm"])
-def transport(request):
-    """Both shard IPC data planes; every pinned property must hold on
-    each, bitwise — the transport moves bytes, never changes them."""
-    if request.param == "shm" and not shm_available():
-        pytest.skip("POSIX shared memory unavailable")
-    return request.param
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +144,7 @@ def drive(engine, plan):
 
 class TestDistributedIdentity:
     def test_distributed_equals_single_process_and_serial(
-        self, config, room, short_walks, multi_output, transport
+        self, config, room, short_walks, multi_output
     ):
         """The acceptance pin: workers>=2 is result-identical to
         workers=0 — and to serial references — for one admission
@@ -177,7 +167,7 @@ class TestDistributedIdentity:
                   "blocks": frame_blocks(multi_output, config)},
         }
         local_results, _ = drive(ServingEngine(), dict(plan))
-        with ServingEngine(workers=2, transport=transport) as engine:
+        with ServingEngine(workers=2) as engine:
             dist_results, sessions = drive(engine, dict(plan))
             shards = {s.cohort.shard for s in sessions.values()}
             assert len(shards) == 2  # the tier actually spread the load
@@ -231,7 +221,7 @@ class TestDistributedIdentity:
 
 class TestChurnFuzz:
     def test_fuzzed_admissions_evictions_recycling(
-        self, config, short_walks, transport
+        self, config, short_walks
     ):
         """Random churn across shards pins merged results to serial runs.
 
@@ -256,7 +246,7 @@ class TestChurnFuzz:
                 "start": int(rng.integers(0, 60)),
                 "evict": bool(rng.random() < 0.3),
             }
-        with ServingEngine(workers=3, transport=transport) as engine:
+        with ServingEngine(workers=3) as engine:
             results, sessions = drive(engine, plan)
             assert engine.num_sessions == 0
             assert not engine.scheduler.excluded_shards
@@ -275,7 +265,7 @@ class TestChurnFuzz:
 
 class TestWorkerFailure:
     def test_shard_raising_mid_tick_fails_over(
-        self, config, short_walks, transport
+        self, config, short_walks
     ):
         """A crashed shard requeues its sessions onto survivors.
 
@@ -288,7 +278,7 @@ class TestWorkerFailure:
         range_bin_m = short_walks[0].range_bin_m
         spec = single_session(config, range_bin_m)
         blocks = [frame_blocks(out, config, 120) for out in short_walks]
-        with ServingEngine(workers=2, transport=transport) as engine:
+        with ServingEngine(workers=2) as engine:
             sessions = [engine.admit(spec) for _ in blocks]
             by_shard = {}
             for s in sessions:
@@ -364,137 +354,71 @@ class TestWorkerFailure:
                 engine.tick()
 
 
-class TestAdaptiveRebatching:
-    def _straggle(self, engine, config, short_walks, steps=30, cooldown=0):
-        """Feed 3 cohort mates; the last gets 3 frames per step.
-
-        A ``cooldown`` phase follows the hot phase: everyone (the
-        ex-straggler included) back to one frame per step, so the
-        split session's burst drain empties its backlog and the
-        rejoin machinery has caught-up ticks to observe.
-        """
-        range_bin_m = short_walks[0].range_bin_m
-        spec = single_session(config, range_bin_m)
-        feeds = [
-            frame_blocks(short_walks[0], config, steps + cooldown),
-            frame_blocks(short_walks[1], config, steps + cooldown),
-            frame_blocks(short_walks[2], config, 3 * steps + cooldown),
-        ]
-        sessions = [engine.admit(spec) for _ in feeds]
-        cursors = [0, 0, 0]
-        for phase_steps, hot in ((steps, True), (cooldown, False)):
-            for _ in range(phase_steps):
-                for i, (session, feed) in enumerate(zip(sessions, feeds)):
-                    take = 3 if hot and i == 2 else 1
-                    for _ in range(take):
-                        if cursors[i] < len(feed):
-                            assert session.offer(feed[cursors[i]])
-                            cursors[i] += 1
-                engine.tick()
-        assert all(c == len(f) for c, f in zip(cursors, feeds))
-        engine.drain()
-        results = [engine.close(s) for s in sessions]
-        return sessions, results, feeds, range_bin_m
-
-    def test_straggler_splits_and_stays_bitwise_local(
-        self, config, short_walks
+class TestLockstepBacklog:
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_backlogged_session_drains_in_lockstep(
+        self, config, short_walks, workers
     ):
-        engine = ServingEngine(queue_capacity=64)
-        engine.scheduler.detector = StragglerDetector(backlog=4, patience=2)
-        engine.scheduler.catchup_burst = 4
-        sessions, results, feeds, range_bin_m = self._straggle(
-            engine, config, short_walks
-        )
-        assert engine.scheduler.splits >= 1
-        assert "/split" in sessions[2].cohort.key  # re-batched
-        assert sessions[2].cohort is not sessions[0].cohort
-        for result, feed in zip(results, feeds):
-            reference = serial_single(config, range_bin_m, feed)
-            assert_single_equal(result, reference)
-
-    def test_caught_up_straggler_rejoins_local(self, config, short_walks):
-        """Splits are temporary: the backlog drains, the session merges
-        back into its mates' cohort — still bitwise."""
-        engine = ServingEngine(queue_capacity=64)
-        engine.scheduler.detector = StragglerDetector(backlog=4, patience=2)
-        engine.scheduler.catchup_burst = 4
-        engine.scheduler.rejoin_patience = 3
-        sessions, results, feeds, range_bin_m = self._straggle(
-            engine, config, short_walks, cooldown=30
-        )
-        assert engine.scheduler.splits >= 1
-        assert engine.scheduler.rejoins >= 1
-        assert sessions[2].cohort is sessions[0].cohort  # back home
-        assert len(engine.manager.cohorts) == 0  # all closed cleanly
-        for result, feed in zip(results, feeds):
-            reference = serial_single(config, range_bin_m, feed)
-            assert_single_equal(result, reference)
-
-    def test_straggler_migrates_across_processes_bitwise(
-        self, config, short_walks, transport
-    ):
-        with ServingEngine(
-            queue_capacity=64, workers=2, transport=transport
-        ) as engine:
-            engine.scheduler.detector = StragglerDetector(
-                backlog=4, patience=2
-            )
-            engine.scheduler.catchup_burst = 4
-            engine.scheduler.rejoin_patience = 3
-            sessions, results, feeds, range_bin_m = self._straggle(
-                engine, config, short_walks, cooldown=30
-            )
-            assert engine.scheduler.splits >= 1
-            # Caught up during cooldown: migrated back into a sibling
-            # non-split cohort (possibly on another shard), bit-exactly.
-            assert engine.scheduler.rejoins >= 1
-            assert not sessions[2].cohort.split
-        for result, feed in zip(results, feeds):
-            reference = serial_single(config, range_bin_m, feed)
-            assert_single_equal(result, reference)
-
-    def test_stranded_split_cohort_becomes_base(self, config, short_walks):
-        """An ex-split singleton with no base left is re-keyed as the
-        base, so future same-spec admissions join it instead of
-        founding a parallel pipeline."""
-        engine = ServingEngine(queue_capacity=64)
-        engine.scheduler.detector = StragglerDetector(backlog=3, patience=2)
-        engine.scheduler.rejoin_patience = 2
+        """A session 12 frames behind its cohort mate is not split off:
+        it stays in the cohort, drains one frame per tick, and serves
+        bitwise as if it were alone."""
         spec = single_session(config, short_walks[0].range_bin_m)
-        blocks = frame_blocks(short_walks[0], config, 60)
-        a, b = engine.admit(spec), engine.admit(spec)
-        cursor = 0
-        while engine.scheduler.splits == 0:
-            engine.submit(a, blocks[cursor % len(blocks)])
-            for _ in range(3):
-                assert b.offer(blocks[cursor % len(blocks)])
-            engine.tick()
-            cursor += 1
-            assert cursor < 100, "straggler never split"
-        engine.drain()
-        engine.close(a)  # base cohort empties and is dropped
-        for _ in range(4):  # b caught up; rejoin pass re-keys its cohort
-            engine.submit(b, blocks[0])
-            engine.tick()
-        assert b.cohort.key == spec.cohort_key()
-        assert not b.cohort.split
-        c = engine.admit(spec)
-        assert c.cohort is b.cohort
-        engine.evict(b)
-        engine.evict(c)
+        lead = frame_blocks(short_walks[0], config, 40)
+        lagging = frame_blocks(short_walks[1], config, 52)
+        with ServingEngine(workers=workers) as engine:
+            a, b = engine.admit(spec), engine.admit(spec)
+            cohort = b.cohort
+            for block in lagging[:12]:
+                assert b.offer(block)
+            for f, block in enumerate(lead):
+                assert a.offer(block)
+                assert b.offer(lagging[12 + f])
+                assert engine.tick() == 2  # one frame each, every tick
+                assert b.pending == 12  # backlog held, not burst-drained
+                assert a.cohort is b.cohort is cohort
+            for backlog in range(11, -1, -1):
+                assert engine.tick() == 1
+                assert b.pending == backlog
+                assert b.cohort is cohort
+            engine.close(a)
+            result = engine.close(b)
+        with ServingEngine() as alone:
+            session = alone.admit(spec)
+            for block in lagging:
+                alone.submit(session, block)
+            alone.drain()
+            reference = alone.close(session)
+        assert_single_equal(result, reference)
 
-    def test_detector_needs_persistence(self):
-        class Stub:
-            def __init__(self, sid):
-                self.session_id = sid
 
-        detector = StragglerDetector(backlog=2, patience=3)
-        lagger, mate = Stub(1), Stub(2)
-        assert detector.observe([(lagger, 5), (mate, 0)]) == []
-        assert detector.observe([(lagger, 5), (mate, 0)]) == []
-        # A recovery resets the counter...
-        assert detector.observe([(lagger, 1), (mate, 0)]) == []
-        assert detector.observe([(lagger, 5), (mate, 0)]) == []
-        assert detector.observe([(lagger, 5), (mate, 0)]) == []
-        # ...so the split fires only after `patience` consecutive lags.
-        assert detector.observe([(lagger, 5), (mate, 0)]) == [lagger]
+class TestFrameValidation:
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_malformed_offer_refused_engine_keeps_serving(
+        self, config, short_walks, workers
+    ):
+        """A block of the wrong shape raises at ``offer`` and is not
+        queued; the cohort mate's output is bitwise a clean run's."""
+        spec = single_session(config, short_walks[0].range_bin_m)
+        blocks_a = frame_blocks(short_walks[0], config, 30)
+        blocks_b = frame_blocks(short_walks[1], config, 30)
+
+        def serve(bad_at):
+            with ServingEngine(workers=workers) as engine:
+                a, b = engine.admit(spec), engine.admit(spec)
+                for f, (block_a, block_b) in enumerate(
+                    zip(blocks_a, blocks_b)
+                ):
+                    engine.submit(a, block_a)
+                    if f == bad_at:
+                        bad = block_b[:2]  # one receive antenna short
+                        with pytest.raises(ValueError, match="expects"):
+                            b.offer(bad)
+                        assert b.pending == 0
+                    engine.submit(b, block_b)
+                    engine.tick()
+                return engine.close(a), engine.close(b)
+
+        clean_a, clean_b = serve(bad_at=None)
+        served_a, served_b = serve(bad_at=10)
+        assert_single_equal(served_a, clean_a)
+        assert_single_equal(served_b, clean_b)
