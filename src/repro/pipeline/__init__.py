@@ -29,6 +29,7 @@ from .runner import (
     LatencyReport,
     Pipeline,
     PipelineResult,
+    frame_average,
     multi_person_pipeline,
     single_person_pipeline,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "LatencyReport",
     "Pipeline",
     "PipelineResult",
+    "frame_average",
     "single_person_pipeline",
     "multi_person_pipeline",
     "Stage",

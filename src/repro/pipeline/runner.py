@@ -14,7 +14,8 @@ Both modes run the *same stage objects*, so a recording pushed through
 identical outputs (bitwise, for the closed-form localizer) — the
 equivalence the batch/stream tests pin. The runner also owns the two
 pre-stage steps every consumer used to duplicate: coherent frame
-averaging (five sweeps per frame, §4.1/§7) and the max-range crop.
+averaging (five sweeps per frame, §4.1/§7) and the max-range crop, both
+in :func:`frame_average`.
 """
 
 from __future__ import annotations
@@ -45,6 +46,80 @@ _SLOT0 = np.zeros(1, dtype=np.intp)
 
 #: Plan-cache sentinel: this stage graph was checked and is not fusable.
 _UNFUSABLE = object()
+
+
+def _crop(frames: np.ndarray, n_bins: int | None) -> np.ndarray:
+    if n_bins is None:
+        return frames
+    return frames[..., : min(n_bins, frames.shape[-1])]
+
+
+def frame_average(
+    blocks: Sequence[np.ndarray] | np.ndarray,
+    n_bins: int | None,
+    scratch: dict[str, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Coherently average each sweep block into one frame spectrum.
+
+    Every frame's first operation (five sweeps per frame, §4.1/§7):
+    block ``i``'s sweeps average into row ``i`` of the result, cropped
+    to the first ``n_bins`` range bins. :meth:`Pipeline.tick` runs it
+    before :meth:`Pipeline.advance`; the distributed front end runs it
+    before shipping a cohort's frames to its shard.
+
+    Args:
+        blocks: ``(n_rx, sweeps_per_frame, bins)`` sweep blocks, as a
+            sequence (views of any layout) or one stacked
+            ``(n, n_rx, sweeps_per_frame, bins)`` array.
+        n_bins: keep this many leading bins (None keeps every bin).
+        scratch: reusable buffers, (re)allocated in place under the
+            keys ``"stack"`` and ``"average"``. With it the result *is*
+            ``scratch["average"]`` (complex128 input) and holds only
+            until the next call with the same scratch; without it the
+            result is fresh.
+
+    Returns:
+        ``(n, n_rx, n_bins)`` frame spectra: complex128 for complex128
+        input, ``np.mean``'s dtype for any other.
+    """
+    if scratch is None:
+        scratch = {}
+    if isinstance(blocks, np.ndarray):
+        stacked = blocks
+    elif len(blocks) == 0:
+        stacked = np.stack([np.asarray(b) for b in blocks])
+    else:
+        # Stack into a reusable buffer: the cohort block is consumed by
+        # the average below and never retained, so a fresh allocation
+        # every tick is pure overhead.
+        first = np.asarray(blocks[0])
+        shape = (len(blocks),) + first.shape
+        stacked = scratch.get("stack")
+        if (
+            stacked is None
+            or stacked.shape != shape
+            or stacked.dtype != first.dtype
+        ):
+            stacked = scratch["stack"] = np.empty(shape, first.dtype)
+        stacked[0] = first
+        for i in range(1, len(blocks)):
+            stacked[i] = blocks[i]
+    if stacked.dtype != np.complex128:
+        return _crop(stacked, n_bins).mean(axis=2)
+    # Crop before averaging: the mean is per-bin, so the order is
+    # bitwise-immaterial, and the cropped reduction touches only the
+    # bins the chain will actually read.
+    cropped = _crop(stacked, n_bins)
+    n, n_rx, spf, kept = cropped.shape
+    average = scratch.get("average")
+    if average is None or average.shape != (n, n_rx, kept):
+        average = scratch["average"] = np.empty(
+            (n, n_rx, kept), dtype=np.complex128
+        )
+    # add.reduce + divide is np.mean's own reduction without its Python
+    # wrapper (bitwise-identical pairwise summation).
+    np.add.reduce(cropped, axis=2, out=average)
+    return np.divide(average, spf, out=average)
 
 
 @dataclass
@@ -179,12 +254,10 @@ class Pipeline:
         self._n_sessions = 1
         self._frames_in = np.zeros(1, dtype=np.int64)
         self.latency = LatencyReport()
-        #: Reused per-tick frame-averaging buffer (the averaged
-        #: spectrum never outlives the tick: BackgroundSubtract copies
-        #: what it keeps and replaces ``tick.spectrum`` with the diff).
-        self._avg_scratch: np.ndarray | None = None
-        #: Reused cohort-stacking buffer for the list-input tick path.
-        self._stack_scratch: np.ndarray | None = None
+        #: Reused :func:`frame_average` buffers (the averaged spectrum
+        #: never outlives the tick: BackgroundSubtract copies what it
+        #: keeps and replaces ``tick.spectrum`` with the diff).
+        self._scratch: dict[str, np.ndarray] = {}
         #: Per-stage {calls, wall_s, bytes} counters, or ``None`` when
         #: profiling was off at construction — the disabled path costs
         #: one ``is None`` check per tick (``REPRO_PROFILE=1`` or
@@ -368,11 +441,6 @@ class Pipeline:
             stage.restore_slot(slot, stage_state)
         self._invalidate_plan_state()
 
-    def _crop(self, frames: np.ndarray) -> np.ndarray:
-        if self._max_bins is None:
-            return frames
-        return frames[..., : min(self._max_bins, frames.shape[-1])]
-
     # -- streaming / lockstep mode -----------------------------------------
 
     def tick(
@@ -382,10 +450,11 @@ class Pipeline:
     ) -> SessionTick:
         """Advance N independent sessions one frame each, in lockstep.
 
-        One :class:`~repro.pipeline.frame.SessionTick` flows through one
-        ``process_tick`` call per stage, so the per-frame numpy dispatch
-        cost is paid once for the whole batch instead of once per
-        session — the amortization the serving engine exists for.
+        :func:`frame_average` followed by :meth:`advance`: the blocks
+        are averaged into one cohort spectrum, which then flows through
+        one ``process_tick`` call per stage, so the per-frame numpy
+        dispatch cost is paid once for the whole batch instead of once
+        per session — the amortization the serving engine exists for.
 
         Args:
             sweep_blocks: one ``(n_rx, sweeps_per_frame, n_bins)`` raw
@@ -399,11 +468,42 @@ class Pipeline:
             a session whose frame only primed its background reference
             produces no output row this tick.
         """
+        profiler = self.profiler
+        t0 = perf_counter() if profiler is not None else 0.0
+        averaged = frame_average(sweep_blocks, self._max_bins, self._scratch)
+        if profiler is not None:
+            profiler.record(
+                "frame_average", perf_counter() - t0, averaged.nbytes
+            )
+        return self.advance(averaged, slots)
+
+    def advance(
+        self,
+        spectrum: np.ndarray,
+        slots: Sequence[int] | np.ndarray | None = None,
+    ) -> SessionTick:
+        """Advance N sessions one frame each from averaged spectra.
+
+        The post-average half of :meth:`tick`, for callers that ran
+        :func:`frame_average` themselves — the distributed front end
+        averages before shipping, so a shard receives one
+        ``(n, n_rx, n_bins)`` slab instead of the raw sweep blocks.
+
+        Args:
+            spectrum: ``(n, n_rx, n_bins)`` complex frame spectra, one
+                row per session, already cropped to this pipeline's
+                bins. Not retained past the call.
+            slots: the session slot each row advances (defaults to
+                ``0..n-1``); distinct and attached.
+
+        Returns:
+            The final tick, as :meth:`tick` returns it.
+        """
         if slots is None:
-            slots = np.arange(len(sweep_blocks), dtype=np.intp)
+            slots = np.arange(len(spectrum), dtype=np.intp)
         else:
             slots = np.asarray(slots, dtype=np.intp)
-        if len(slots) != len(sweep_blocks):
+        if len(slots) != len(spectrum):
             raise ValueError("need exactly one slot per sweep block")
         if len(slots) > 1 and len(set(slots.tolist())) != len(slots):
             raise ValueError(
@@ -412,55 +512,14 @@ class Pipeline:
             )
         profiler = self.profiler
         t_enter = perf_counter() if profiler is not None else 0.0
-        if isinstance(sweep_blocks, np.ndarray):
-            stacked = sweep_blocks
-        elif len(sweep_blocks) == 0:
-            stacked = np.stack([np.asarray(b) for b in sweep_blocks])
-        else:
-            # Stack into a reusable buffer: the per-tick cohort block is
-            # consumed by the frame average below and never retained, so
-            # a fresh allocation every tick is pure overhead.
-            first = np.asarray(sweep_blocks[0])
-            shape = (len(sweep_blocks),) + first.shape
-            stacked = self._stack_scratch
-            if (
-                stacked is None
-                or stacked.shape != shape
-                or stacked.dtype != first.dtype
-            ):
-                stacked = self._stack_scratch = np.empty(shape, first.dtype)
-            stacked[0] = first
-            for i in range(1, len(sweep_blocks)):
-                stacked[i] = sweep_blocks[i]
-        t0 = perf_counter() if profiler is not None else 0.0
-        if stacked.dtype == np.complex128:
-            # Crop before averaging: the mean is per-bin, so the order
-            # is bitwise-immaterial, and the cropped reduction touches
-            # only the bins the chain will actually read.
-            cropped = self._crop(stacked)
-            n, n_rx, _, n_bins = cropped.shape
-            scratch = self._avg_scratch
-            if scratch is None or scratch.shape != (n, n_rx, n_bins):
-                scratch = self._avg_scratch = np.empty(
-                    (n, n_rx, n_bins), dtype=np.complex128
-                )
-            # add.reduce + divide is np.mean's own reduction without its
-            # Python wrapper (bitwise-identical pairwise summation).
-            np.add.reduce(cropped, axis=2, out=scratch)
-            averaged = np.divide(scratch, cropped.shape[2], out=scratch)
-        else:
-            averaged = self._crop(stacked).mean(axis=2)
-        if profiler is not None:
-            t1 = perf_counter()
-            profiler.record("frame_average", t1 - t0, averaged.nbytes)
-            attributed = t1 - t0
+        attributed = 0.0
         indices = self._frames_in[slots]
         self._frames_in[slots] += 1
         tick = SessionTick(
             slots=slots,
             indices=indices,
             times_s=(indices + 0.5) * self.frame_duration_s,
-            spectrum=averaged,
+            spectrum=spectrum,
         )
         plan = self._tick_plan
         if plan is None:
@@ -628,8 +687,9 @@ class Pipeline:
                 f"need at least {2 * spf} sweeps, got {n_sweeps}"
             )
         trimmed = spectra[:, : n_frames * spf, :]
-        averaged = self._crop(
-            trimmed.reshape(n_rx, n_frames, spf, n_bins).mean(axis=2)
+        averaged = _crop(
+            trimmed.reshape(n_rx, n_frames, spf, n_bins).mean(axis=2),
+            self._max_bins,
         )
         base = int(self._frames_in[0])
         self._frames_in[0] += n_frames

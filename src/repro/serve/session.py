@@ -306,9 +306,10 @@ class Session:
         real user.
 
         Raises:
-            ValueError: the block is not the spec's
-                :func:`frame_shape`. It is refused here, before it can
-                fail the tick of the whole cohort it would join.
+            ValueError: the block is not a complex128 array of the
+                spec's :func:`frame_shape`. It is refused here, before
+                it can fail (or, with a real dtype, silently truncate to
+                real) the tick of the whole cohort it would join.
         """
         if self.closed:
             raise RuntimeError(
@@ -318,6 +319,12 @@ class Session:
             raise ValueError(
                 f"session {self.session_id} expects {self._frame_shape} "
                 f"sweep blocks, got {np.shape(sweep_block)}"
+            )
+        dtype = np.asarray(sweep_block).dtype
+        if dtype != np.complex128:
+            raise ValueError(
+                f"session {self.session_id} expects complex128 sweep "
+                f"blocks, got {dtype}"
             )
         if len(self.queue) >= self.queue_capacity:
             return False

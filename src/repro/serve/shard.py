@@ -6,18 +6,24 @@ makes N *processes* serve N·M. The division of labor:
 * :class:`ShardWorker` — the actor living inside each
   :class:`~repro.exec.pool.WorkerPool` worker process. It owns whole
   cohorts (shared vectorized pipelines plus slot bookkeeping) and
-  advances them with the same :meth:`Pipeline.tick
-  <repro.pipeline.Pipeline.tick>` the single-process engine uses, so a
-  shard's outputs are bitwise the single-process outputs for the same
-  frames — tick rows are independent sessions, and partitioning rows
-  across processes changes nothing.
+  advances them with :meth:`Pipeline.advance
+  <repro.pipeline.Pipeline.advance>`, the post-average half of the
+  :meth:`Pipeline.tick <repro.pipeline.Pipeline.tick>` the
+  single-process engine uses, so a shard's outputs are bitwise the
+  single-process outputs for the same frames — tick rows are
+  independent sessions, and partitioning rows across processes changes
+  nothing.
 * :class:`DistributedScheduler` — the front-end mirror of
   :class:`~repro.serve.scheduler.Scheduler`. It places **whole
   cohorts** onto shards (least-loaded placement, Kadabra-style: where
   work lands adapts to observed load), keeps every session's bounded
   queue and accumulated results in the parent, and per tick sends each
   shard one batched ``step`` — all shards are submitted before any
-  response is awaited, so shard compute overlaps.
+  response is awaited, so shard compute overlaps. The front end runs
+  each cohort's :func:`~repro.pipeline.frame_average` itself and ships
+  the averaged ``(n, n_rx, n_bins)`` slab: a fifth of the raw sweep
+  bytes (five sweeps per frame), and the parent reads every raw byte
+  once either way — to reduce it rather than to pickle it.
 
 Failure is survivable by construction: the parent owns the queues, so
 when a shard dies mid-step (crash or a raised exception), its in-flight
@@ -38,13 +44,14 @@ from time import perf_counter
 import numpy as np
 
 from ..exec.pool import WorkerCrash, WorkerPool, remote_failure
-from ..kernels.profile import StageProfiler
-from ..pipeline.runner import PipelineResult
+from ..kernels.profile import StageProfiler, profiling_enabled
+from ..pipeline.runner import PipelineResult, frame_average
 from .scheduler import Cohort
 from .session import (
     AdmissionRefused,
     Session,
     SessionSpec,
+    frame_shape,
     group_row_fields,
     tick_group,
 )
@@ -129,13 +136,16 @@ class ShardWorker:
     # -- the unit of work --------------------------------------------------
 
     def step(
-        self, batch: list[tuple[int, np.ndarray]]
+        self, batch: list[tuple[str, np.ndarray, np.ndarray]]
     ) -> tuple[list[dict], float]:
         """Advance this shard one scheduler tick.
 
         Args:
-            batch: one ``(session_id, sweep_block)`` pair per session
-                with a frame this tick.
+            batch: one ``(cohort_key, session_ids, slab)`` triple per
+                cohort with frames this tick: the int64 ids of its
+                ready sessions and their frame-averaged
+                ``(n, n_rx, n_bins)`` complex128 spectra, row for row
+                (see :func:`~repro.pipeline.frame_average`).
 
         Returns:
             ``(groups, tick_s)``: one output group per cohort pipeline
@@ -155,28 +165,21 @@ class ShardWorker:
                 raise RuntimeError("injected shard failure (fail_next_step)")
         start = perf_counter()
         groups: list[dict] = []
-        by_cohort: dict[str, list[tuple[int, int, np.ndarray]]] = {}
-        for sid, block in batch:
-            key, slot = self._placement[sid]
-            by_cohort.setdefault(key, []).append((sid, slot, block))
-        for key, members in by_cohort.items():
+        placement = self._placement
+        for key, session_ids, slab in batch:
             slots = np.fromiter(
-                (slot for _, slot, _ in members),
+                (placement[sid][1] for sid in session_ids.tolist()),
                 dtype=np.intp,
-                count=len(members),
+                count=len(session_ids),
             )
-            tick = self.cohorts[key].pipeline.tick(
-                [block for _, _, block in members], slots
-            )
+            tick = self.cohorts[key].pipeline.advance(slab, slots)
+            self.frames_processed += len(slots)
             if tick.num_rows:
-                sid_of_slot = {slot: sid for sid, slot, _ in members}
-                session_ids = np.fromiter(
-                    (sid_of_slot[int(slot)] for slot in tick.slots),
-                    dtype=np.int64,
-                    count=tick.num_rows,
-                )
-                groups.append(tick_group(tick, session_ids))
-        self.frames_processed += len(batch)
+                # Priming rows emit nothing: route each emitted slot
+                # back to its session.
+                order = np.argsort(slots)
+                rows = order[np.searchsorted(slots, tick.slots, sorter=order)]
+                groups.append(tick_group(tick, session_ids[rows]))
         self.steps += 1
         return groups, perf_counter() - start
 
@@ -237,6 +240,8 @@ class PlacedCohort:
         self.spec = spec
         self.shard = shard
         self.sessions: dict[int, Session] = {}
+        #: Bins each averaged frame keeps (what ``offer`` enforces).
+        self.n_bins = frame_shape(spec)[2]
 
     @property
     def num_sessions(self) -> int:
@@ -352,6 +357,11 @@ class DistributedScheduler:
         self.failovers = 0
         self._next_id = 1
         self._cohort_seq = 0
+        #: Front-end ``frame_average`` counters (``None`` when profiling
+        #: was off at construction), merged into :meth:`stage_profile`.
+        self.profiler: StageProfiler | None = (
+            StageProfiler() if profiling_enabled() else None
+        )
 
     # -- placement ---------------------------------------------------------
 
@@ -550,38 +560,56 @@ class DistributedScheduler:
     def tick(self) -> int:
         """One distributed pass: batch per shard, overlap, route, merge.
 
-        Pops one queued frame per ready session, submits every
-        involved shard its batch *before* awaiting any response
-        (shard compute overlaps), then routes each shard's output rows
-        and latency samples back as responses arrive. A shard that
-        fails mid-step is excluded and failed over without dropping a
-        frame.
+        Pops one queued frame per ready session and averages each
+        cohort's frames into one slab (:func:`~repro.pipeline.frame_average`),
+        submits every involved shard its slabs *before* awaiting any
+        response (shard compute overlaps), then routes each shard's
+        output rows and latency samples back as responses arrive. A
+        shard that fails mid-step is excluded and failed over without
+        dropping a frame: the parent still holds the raw blocks.
 
         Returns:
             Number of frames consumed (0 means every queue was empty).
         """
         batches: dict[int, list[tuple[Session, tuple[np.ndarray, float]]]] = {}
+        payloads: dict[int, list[tuple[str, np.ndarray, np.ndarray]]] = {}
+        profiler = self.profiler
         for cohort in self.cohorts.values():
-            for session in cohort.sessions.values():
-                if session.queue:
-                    batches.setdefault(cohort.shard, []).append(
-                        (session, session.queue.popleft())
-                    )
+            ready = [s for s in cohort.sessions.values() if s.queue]
+            if not ready:
+                continue
+            entries = [(session, session.queue.popleft()) for session in ready]
+            batches.setdefault(cohort.shard, []).extend(entries)
+            t0 = perf_counter() if profiler is not None else 0.0
+            slab = frame_average(
+                [block for _, (block, _) in entries], cohort.n_bins
+            )
+            if profiler is not None:
+                profiler.record(
+                    "frame_average", perf_counter() - t0, slab.nbytes
+                )
+            session_ids = np.fromiter(
+                (session.session_id for session in ready),
+                dtype=np.int64,
+                count=len(ready),
+            )
+            payloads.setdefault(cohort.shard, []).append(
+                (cohort.key, session_ids, slab)
+            )
         consumed = 0
         submitted: dict[int, float] = {}
         failed: list[int] = []
-        for shard, batch in batches.items():
-            payload = [
-                (session.session_id, block)
-                for session, (block, _) in batch
-            ]
+        for shard, payload in payloads.items():
+            # Stamp before submitting: on one CPU the worker can
+            # receive and tick the step before ``submit`` returns.
+            sent = perf_counter()
             try:
                 self.pool.submit(shard, "invoke", "step", (payload,))
             except WorkerCrash as exc:
                 self.last_failure = exc
                 failed.append(shard)
                 continue
-            submitted[shard] = perf_counter()
+            submitted[shard] = sent
         pending = set(submitted)
         while pending:
             # Drain every ready response (timestamping each arrival)
@@ -639,17 +667,21 @@ class DistributedScheduler:
     # -- reporting ---------------------------------------------------------
 
     def stage_profile(self) -> StageProfiler:
-        """Merged per-stage counters across every live shard.
+        """Merged per-stage counters: the front end's and every live shard's.
 
-        Each shard replies with its own merged dict (live cohorts plus
-        the counters of cohorts already dropped on that shard); excluded
-        or crashed shards are skipped — their counters are lost with the
-        process, like any other shard-side state. Workers inherit the
-        profiling switch at fork, so set ``REPRO_PROFILE=1`` (or call
+        The front end contributes the ``frame_average`` row (the average
+        runs here, before the pipe). Each shard replies with its own
+        merged dict (live cohorts plus the counters of cohorts already
+        dropped on that shard); excluded or crashed shards are skipped —
+        their counters are lost with the process, like any other
+        shard-side state. Workers inherit the profiling switch at fork,
+        so set ``REPRO_PROFILE=1`` (or call
         :func:`repro.kernels.enable_profiling` before building the
         engine) for the counters to exist at all.
         """
         merged = StageProfiler()
+        if self.profiler is not None:
+            merged.merge(self.profiler)
         for shard in self._live_shards():
             try:
                 merged.merge(self.pool.invoke(shard, "stage_profile"))

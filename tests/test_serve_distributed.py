@@ -12,8 +12,11 @@ The load-bearing properties:
   bitwise;
 * scheduling is lockstep: a session far behind its cohort mates stays
   in their cohort and drains one frame per tick, bitwise unchanged;
-* a malformed frame is refused at ``offer`` and never reaches a tick,
-  so the engine — in-process or sharded — keeps serving everyone else.
+* a malformed frame (wrong shape or a real dtype) is refused at
+  ``offer`` and never reaches a tick, so the engine — in-process or
+  sharded — keeps serving everyone else bitwise;
+* the front end averages each cohort's frames before the pipe: a step
+  request carries one averaged slab per cohort, not the raw sweeps.
 """
 
 import numpy as np
@@ -22,8 +25,11 @@ import pytest
 from repro.config import default_config
 from repro.core.tracker import WiTrack
 from repro.exec.pool import pool_available
+from repro.kernels import enable_profiling, reset_profiling_override
 from repro.multi import MultiScenario, MultiWiTrack
+from repro.pipeline import PipelineResult
 from repro.serve import ServingEngine, multi_session, single_session
+from repro.serve.session import frame_shape
 from repro.sim import Scenario
 from repro.sim.body import HumanBody
 from repro.sim.motion import non_colliding_walks, random_walk
@@ -106,6 +112,14 @@ def assert_tracks_equal(result, reference):
         assert [tid for tid, _ in ours] == [tid for tid, _ in theirs]
         for (_, p1), (_, p2) in zip(ours, theirs):
             np.testing.assert_array_equal(p1, p2)
+
+
+def prefix_result(result, frames):
+    """The first ``frames`` output frames of a K-person result."""
+    return PipelineResult(
+        frame_times_s=result.frame_times_s[:frames],
+        tracks=result.tracks[:frames],
+    )
 
 
 def drive(engine, plan):
@@ -422,3 +436,222 @@ class TestFrameValidation:
         served_a, served_b = serve(bad_at=10)
         assert_single_equal(served_a, clean_a)
         assert_single_equal(served_b, clean_b)
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_real_valued_offer_refused_cohort_mate_bitwise(
+        self, config, short_walks, workers
+    ):
+        """A real-valued block of the right shape raises at ``offer``.
+
+        Queued, it would set the cohort stacking buffer's dtype and drop
+        the imaginary part of every cohort mate's frame that tick.
+        """
+        spec = single_session(config, short_walks[0].range_bin_m)
+        blocks_a = frame_blocks(short_walks[0], config, 30)
+        blocks_b = frame_blocks(short_walks[1], config, 30)
+
+        def serve(bad_at):
+            with ServingEngine(workers=workers) as engine:
+                a, b = engine.admit(spec), engine.admit(spec)
+                for f, (block_a, block_b) in enumerate(
+                    zip(blocks_a, blocks_b)
+                ):
+                    if f == bad_at:
+                        with pytest.raises(ValueError, match="complex128"):
+                            a.offer(np.abs(block_a))
+                        assert a.pending == 0
+                    engine.submit(a, block_a)
+                    engine.submit(b, block_b)
+                    engine.tick()
+                return engine.close(b)
+
+        clean_b = serve(bad_at=None)
+        assert_single_equal(serve(bad_at=10), clean_b)
+
+
+class TestAveragedStep:
+    """The shard step carries frame-averaged slabs, one per cohort."""
+
+    def test_noncontiguous_views_bitwise(self, config, short_walks):
+        """Frames that are strided views into a recording serve bitwise."""
+        range_bin_m = short_walks[0].range_bin_m
+        spec = single_session(config, range_bin_m)
+        plan = {
+            name: {"spec": spec,
+                   "blocks": frame_blocks(short_walks[i], config, 60),
+                   "start": 3 * i}
+            for i, name in enumerate("abc")
+        }
+        assert not plan["a"]["blocks"][5].flags.c_contiguous
+        local_results, _ = drive(ServingEngine(), dict(plan))
+        with ServingEngine(workers=1) as engine:
+            dist_results, _ = drive(engine, dict(plan))
+        for name, entry in plan.items():
+            reference = serial_single(config, range_bin_m, entry["blocks"])
+            assert_single_equal(dist_results[name], reference)
+            assert_single_equal(dist_results[name], local_results[name])
+
+    def test_single_and_k2_cohorts_on_one_shard(
+        self, config, room, short_walks, multi_output
+    ):
+        """One step ships a single-person and a K=2 slab to one shard.
+
+        Two K=2 sessions with staggered joins share their cohort; both
+        cohorts ride in the same request and route back bitwise.
+        """
+        range_bin_m = short_walks[0].range_bin_m
+        single_spec = single_session(config, range_bin_m)
+        multi_spec = multi_session(
+            config, range_bin_m, max_people=2, room=room
+        )
+        multi_blocks = frame_blocks(multi_output, config)
+        plan = {
+            "a": {"spec": single_spec,
+                  "blocks": frame_blocks(short_walks[0], config, 80)},
+            "b": {"spec": single_spec,
+                  "blocks": frame_blocks(short_walks[1], config, 80),
+                  "start": 5},
+            "m1": {"spec": multi_spec, "blocks": multi_blocks},
+            "m2": {"spec": multi_spec, "blocks": multi_blocks[20:],
+                   "start": 7},
+        }
+        local_results, _ = drive(ServingEngine(), dict(plan))
+        with ServingEngine(workers=1) as engine:
+            dist_results, sessions = drive(engine, dict(plan))
+            assert {s.cohort.shard for s in sessions.values()} == {0}
+            assert len({s.cohort.key for s in sessions.values()}) == 2
+        for name in ("a", "b"):
+            reference = serial_single(
+                config, range_bin_m, plan[name]["blocks"]
+            )
+            assert_single_equal(dist_results[name], reference)
+            assert_single_equal(dist_results[name], local_results[name])
+        for name in ("m1", "m2"):
+            reference = serial_multi(
+                config, range_bin_m, plan[name]["blocks"], room
+            )
+            assert_tracks_equal(dist_results[name], reference)
+            assert_tracks_equal(dist_results[name], local_results[name])
+
+    def test_failover_requeues_raw_blocks(self, config, room, short_walks,
+                                          multi_output):
+        """A K=2 cohort whose shard dies re-averages its requeued frames
+        on the survivor, next to the single-person cohort living there.
+
+        The survivor's sessions stay bitwise equal to in-process
+        serving; the failed-over session consumes every frame, keeps
+        its prefix bitwise and resumes on the session clock.
+        """
+        range_bin_m = short_walks[0].range_bin_m
+        single_spec = single_session(config, range_bin_m)
+        multi_spec = multi_session(
+            config, range_bin_m, max_people=2, room=room
+        )
+        single_blocks = frame_blocks(short_walks[0], config, 100)
+        multi_blocks = frame_blocks(multi_output, config, 100)
+        n = min(len(single_blocks), len(multi_blocks))
+        fail_at = 30
+
+        def serve(workers):
+            with ServingEngine(workers=workers) as engine:
+                a = engine.admit(single_spec)
+                m = engine.admit(multi_spec)
+                for f in range(n):
+                    if workers and f == fail_at:
+                        assert a.cohort.shard != m.cohort.shard
+                        engine.pool.invoke(m.cohort.shard, "fail_next_step")
+                    engine.submit(a, single_blocks[f])
+                    engine.submit(m, multi_blocks[f])
+                    engine.tick()
+                if workers:
+                    assert engine.scheduler.failovers == 1
+                    assert a.cohort.shard == m.cohort.shard
+                assert m.frames_in == n
+                return engine.close(a), engine.close(m)
+
+        local_a, local_m = serve(0)
+        dist_a, dist_m = serve(2)
+        assert_single_equal(dist_a, local_a)
+        assert dist_m.num_frames == local_m.num_frames - 1
+        boundary = fail_at - 1  # outputs before the failed step
+        assert_tracks_equal(
+            prefix_result(dist_m, boundary), prefix_result(local_m, boundary)
+        )
+        resumed = MultiWiTrack(config, max_people=2, room=room).pipeline(
+            range_bin_m
+        )
+        resumed.reset(start_frame=fail_at)
+        suffix = resumed.run_stream(
+            np.concatenate(multi_blocks[fail_at:n], axis=1)
+        )
+        assert_tracks_equal(
+            PipelineResult(
+                frame_times_s=dist_m.frame_times_s[boundary:],
+                tracks=dist_m.tracks[boundary:],
+            ),
+            suffix,
+        )
+
+    def test_step_request_is_one_averaged_slab(self, config, short_walks):
+        """IPC pin: a step request is the averaged slab plus a small
+        envelope — shipping the raw sweep blocks would be 5× larger."""
+        spec = single_session(config, short_walks[0].range_bin_m)
+        n_rx, _, n_bins = frame_shape(spec)
+        blocks = [frame_blocks(out, config, 6) for out in short_walks]
+        with ServingEngine(workers=1) as engine:
+            pool = engine.pool
+            sessions = [engine.admit(spec) for _ in blocks]
+            request_bytes = []
+            submit = pool.submit
+
+            def counting_submit(worker, kind, target, *args, **kwargs):
+                before = pool.transport_stats(worker)["bytes_pickled"]
+                submit(worker, kind, target, *args, **kwargs)
+                after = pool.transport_stats(worker)["bytes_pickled"]
+                if target == "step":
+                    request_bytes.append(after - before)
+
+            pool.submit = counting_submit
+            for f in range(6):
+                for session, bl in zip(sessions, blocks):
+                    engine.submit(session, bl[f])
+                assert engine.tick() == len(sessions)
+        slab_bytes = len(sessions) * n_rx * n_bins * 16
+        assert len(request_bytes) == 6
+        assert max(request_bytes) <= slab_bytes + 4096
+
+    def test_round_trip_covers_shard_tick(self, config, short_walks):
+        """The round trip is stamped before ``submit``, so it can never
+        be shorter than the shard tick it contains (no negative IPC)."""
+        spec = single_session(config, short_walks[0].range_bin_m)
+        blocks = [frame_blocks(out, config, 40) for out in short_walks]
+        with ServingEngine(workers=1) as engine:
+            sessions = [engine.admit(spec) for _ in blocks]
+            for f in range(40):
+                for session, bl in zip(sessions, blocks):
+                    engine.submit(session, bl[f])
+                engine.tick()
+            stats = engine.scheduler.shard_stats[0]
+            assert len(stats.round_trip_s) == len(stats.tick_s) == 40
+            for round_trip, tick in zip(stats.round_trip_s, stats.tick_s):
+                assert round_trip >= tick
+
+    def test_profile_keeps_frame_average_row(self, config, short_walks):
+        """With profiling on, the front end's average shows up in the
+        merged distributed profile next to the shard's rows."""
+        spec = single_session(config, short_walks[0].range_bin_m)
+        blocks = frame_blocks(short_walks[0], config, 10)
+        enable_profiling()
+        try:
+            with ServingEngine(workers=1) as engine:
+                session = engine.admit(spec)
+                for block in blocks:
+                    engine.submit(session, block)
+                    engine.tick()
+                profile = engine.stage_profile().as_dict()
+        finally:
+            reset_profiling_override()
+        assert profile["frame_average"]["calls"] == len(blocks)
+        assert "fused_tick" in profile or any(
+            "BackgroundSubtract" in name for name in profile
+        )
